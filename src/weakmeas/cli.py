@@ -60,9 +60,10 @@ from .hilbert import (
     trace_distance,
 )
 from .oracle import dirac_exact, weak_average, weak_value_pure
-from .pointer import HBAR, WrapAroundError
+from .pointer import HBAR, WrapAroundError, gaussian_pointer
 from .protocols import (
     DEFAULT_SWEEP,
+    SCHEMES,
     ProtocolParams,
     calibrate_scheme1,
     convergence_slope,
@@ -78,7 +79,6 @@ from .protocols import (
 from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
-SCHEMES = ("substitution", "scheme1", "scheme2")
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
 CSV_COLUMNS = (
     "protocol",
@@ -138,6 +138,16 @@ def _matrix_pairs(mat) -> list:
 def _from_pairs(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _number(value, kind: type, field: str):
+    """int(value) or float(value); ConfigError naming the field otherwise."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{field}: expected a number ({kind.__name__}), got {value!r}"
+        ) from None
 
 
 def _entry_to_complex(entry, field: str) -> complex:
@@ -252,12 +262,14 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
     seed = spec.get("seed", default_seed)
     if seed is None:
         raise ConfigError("state.random.seed: required (or pass --seed)")
+    seed = _number(seed, int, "state.random.seed")
     rank = spec.get("rank")
     if rank is None:
-        return random_state(dim, int(seed)), dim, f"random(seed={seed})"
-    if not 1 <= int(rank) <= dim:
+        return random_state(dim, seed), dim, f"random(seed={seed})"
+    rank = _number(rank, int, "state.random.rank")
+    if not 1 <= rank <= dim:
         raise ConfigError(f"state.random.rank: must lie in [1, {dim}], got {rank}")
-    system = random_density(dim, int(seed), int(rank))
+    system = random_density(dim, seed, rank)
     return system, dim, f"random(seed={seed},rank={rank})"
 
 
@@ -270,11 +282,11 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         if key not in known:
             raise ConfigError(f"{key}: unknown config key")
     if default_seed is None and raw.get("seed") is not None:
-        default_seed = int(raw["seed"])
+        default_seed = _number(raw["seed"], int, "seed")
 
     dim = raw.get("dim")
     if dim is not None:
-        dim = int(dim)
+        dim = _number(dim, int, "dim")
         if dim < 2:
             raise ConfigError(f"dim: must be >= 2, got {dim}")
     if "state" not in raw:
@@ -296,7 +308,7 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     sweep = raw.get("sweep", list(DEFAULT_SWEEP))
     if not isinstance(sweep, (list, tuple)) or not sweep:
         raise ConfigError("sweep: must be a nonempty list of couplings")
-    sweep = tuple(float(g) for g in sweep)
+    sweep = tuple(_number(g, float, "sweep") for g in sweep)
     if any(g <= 0 for g in sweep):
         raise ConfigError("sweep: couplings must be positive")
 
@@ -308,13 +320,19 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
             raise ConfigError(f"pointer.{key}: unknown key")
     grid_points = pointer.get("points")
     half_width = pointer.get("half_width")
-    sigma = float(pointer.get("sigma", 1.0))
+    sigma = _number(pointer.get("sigma", 1.0), float, "pointer.sigma")
     if sigma <= 0:
         raise ConfigError(f"pointer.sigma: must be positive, got {sigma}")
     if grid_points is not None:
-        grid_points = int(grid_points)
+        grid_points = _number(grid_points, int, "pointer.points")
     if half_width is not None:
-        half_width = float(half_width)
+        half_width = _number(half_width, float, "pointer.half_width")
+    params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sigma,
+                            grid_points=grid_points, half_width=half_width)
+    try:
+        gaussian_pointer(params.grid(_route_pointers(protocol, scheme)), sigma)
+    except ValueError as exc:
+        raise ConfigError(f"pointer: {exc}") from exc
 
     b0_label = str(raw.get("b0", "fourier-0"))
     b0 = _parse_label(b0_label, dim, "b0")
@@ -352,7 +370,7 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
                 seed=int(seed),
                 readout_split=float(spec.get("readout_split", 0.5)),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"sampling: {exc}") from exc
 
     return Scenario(
@@ -578,7 +596,8 @@ def _write_estimates(out_dir: Path, rows: list[dict], fmt: str) -> Path:
 
 def _manifest(scenario: Scenario, args, threads: int) -> dict:
     pointers = _route_pointers(scenario.protocol, scenario.scheme)
-    grid = _params(scenario, scenario.sweep[0]).grid(pointers)
+    params = _params(scenario, scenario.sweep[0])
+    grid = params.grid(pointers)
     kappa_by_gt = [
         {"gt": float(gt), "kappa": float((2 * scenario.sigma / gt) ** pointers)}
         for gt in scenario.sweep
@@ -602,7 +621,7 @@ def _manifest(scenario: Scenario, args, threads: int) -> dict:
         },
         "pointers_used": pointers,
         "kappa_by_gt": kappa_by_gt,
-        "postselect_floor": 1e-6,
+        "postselect_floor": params.postselect_floor,
         "product": (
             None
             if scenario.product_e is None

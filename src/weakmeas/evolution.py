@@ -12,20 +12,30 @@ Couplings are the impulsive von Neumann unitaries
     exp(-i g A Q t)            position coupling, kicks its momentum,
     exp(-i g2 E K_dst Q_src t) conditional coupling between two pointers,
 
-applied spectrally: diagonalize the Hermitian system factor, multiply the
-appropriate phases in the mixed representation, transform back.  All
-operations preserve branch norms and return new immutable states.
+applied on the range of the Hermitian system factor only: with V the
+eigenvectors of nonzero eigenvalue, psi -> psi + V[(T_lambda - 1)(V^dag psi)],
+T_lambda the translation (or kick) for eigenvalue lambda.  A rank-one
+projector therefore transforms 1/N of the tensor.  All operations preserve
+branch norms and return new immutable states.
+
+Readout is one system-resolved moment per pointer operator A (a product of
+Q, K or a = Q/(2 sigma) + i sigma K over distinct pointers):
+
+    G[s, s'] = sum_b w_b <psi_b[s]| A |psi_b[s']>,
+
+so P(c) <A>_c = c^T G conj(c) for every strong outcome or post-selected
+ket c at once, and the unconditioned moment is Tr G.  A costs one FFT pair
+along each pointer axis it acts on; no conditioned state is built.  This is
+the complex weak-value readout <Q> + i<K> of Jozsa, PRA 76, 044103 (2007).
 
 Accumulated worst-case displacements are tracked per pointer and capped at a
 quarter of the grid extent in the relevant representation, keeping spectral
 wrap-around below Gaussian tail level.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +43,7 @@ from .hilbert import DensityMatrix, OperatorMatrix, StateVector
 from .pointer import PointerGrid, WrapAroundError, gaussian_pointer
 
 HERMITIAN_TOL = 1e-10
+POINTER_VARIABLES = ("Q", "K", "a")
 
 
 class PostselectionError(RuntimeError):
@@ -142,13 +153,43 @@ class CouplingSpec:
         return self.g * self.t
 
 
-def _coupling_eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _range_eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero eigenvalues of a Hermitian op and their eigenvectors (columns)."""
     m = op.matrix
     lam, vecs = np.linalg.eigh(m)
     # projectors get their exact {0, 1} spectrum back
     if np.max(np.abs(m @ m - m)) <= HERMITIAN_TOL:
         lam = np.where(lam > 0.5, 1.0, 0.0)
-    return lam, vecs
+    keep = lam != 0.0
+    return lam[keep], vecs[:, keep]
+
+
+def _couple_on_range(joint: JointState, vecs: np.ndarray, phase: np.ndarray,
+                     fft_axis: int | None) -> list[Branch]:
+    """psi + V[(U - 1)(V^dag psi)] per branch, U = phase applied in the
+    representation where fft_axis (if any) is in momentum space.
+
+    Eigenvectors outside V carry eigenvalue 0, on which the coupling acts as
+    the identity; system rows where V vanishes are left untouched.
+    """
+    rows = np.flatnonzero(np.any(vecs != 0.0, axis=1))
+    out = []
+    for weight, amps in joint.branches:
+        comp = np.tensordot(vecs.conj().T, amps, axes=(1, 0))
+        if fft_axis is None:
+            moved = comp * phase
+        else:
+            moved = np.fft.fft(comp, axis=fft_axis)
+            moved *= phase
+            moved = np.fft.ifft(moved, axis=fft_axis)
+        moved -= comp
+        # one system row at a time: a full V @ moved temporary raises the
+        # peak memory of three-pointer states
+        new = amps.copy()
+        for s in rows:
+            new[s] += np.tensordot(vecs[s], moved, axes=(0, 0))
+        out.append(Branch(weight, new))
+    return out
 
 
 def _axis_view(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
@@ -193,11 +234,11 @@ def apply_coupling(joint: JointState, spec: CouplingSpec) -> JointState:
     gt = spec.gt
     if gt == 0.0:
         return joint
-    lam, vecs = _coupling_eigs(spec.observable)
-    if lam.size != joint.dim:
+    if spec.observable.dim != joint.dim:
         raise ValueError("observable dimension does not match the system")
+    lam, vecs = _range_eigs(spec.observable)
     grid = joint.grids[idx]
-    reach = abs(gt) * float(np.max(np.abs(lam)))
+    reach = abs(gt) * float(np.max(np.abs(lam), initial=0.0))
     q_shifts = list(joint.q_shifts)
     k_shifts = list(joint.k_shifts)
     if spec.variable == "K":
@@ -215,20 +256,14 @@ def apply_coupling(joint: JointState, spec: CouplingSpec) -> JointState:
                 f"accumulated momentum kick {k_shifts[idx]:.3g} exceeds guard {limit:.3g}"
             )
     ax = idx + 1
-    out = []
-    for weight, amps in joint.branches:
-        nd = amps.ndim
-        eig_amps = np.tensordot(vecs.conj().T, amps, axes=(1, 0))
-        lam_b = _axis_view(lam, nd, 0)
-        if spec.variable == "K":
-            ft = np.fft.fft(eig_amps, axis=ax)
-            ft *= np.exp(-1j * gt * lam_b * _axis_view(grid.wavenumbers, nd, ax))
-            eig_amps = np.fft.ifft(ft, axis=ax)
-        else:
-            eig_amps = eig_amps * np.exp(
-                -1j * gt * lam_b * _axis_view(grid.positions, nd, ax)
-            )
-        out.append(Branch(weight, np.tensordot(vecs, eig_amps, axes=(1, 0))))
+    nd = joint.num_pointers + 1
+    lam_b = _axis_view(lam, nd, 0)
+    if spec.variable == "K":
+        phase = np.exp(-1j * gt * lam_b * _axis_view(grid.wavenumbers, nd, ax))
+        out = _couple_on_range(joint, vecs, phase, ax)
+    else:
+        phase = np.exp(-1j * gt * lam_b * _axis_view(grid.positions, nd, ax))
+        out = _couple_on_range(joint, vecs, phase, None)
     return joint._replace_branches(out, q_shifts=tuple(q_shifts), k_shifts=tuple(k_shifts))
 
 
@@ -252,10 +287,10 @@ def apply_conditional_coupling(
     gt = g2 * t
     if gt == 0.0:
         return joint
-    lam, vecs = _coupling_eigs(e_op)
+    lam, vecs = _range_eigs(e_op)
     src_grid = joint.grids[src_pointer]
     dst_grid = joint.grids[dst_pointer]
-    reach = abs(gt) * float(np.max(np.abs(lam))) * src_grid.half_width
+    reach = abs(gt) * float(np.max(np.abs(lam), initial=0.0)) * src_grid.half_width
     q_shifts = list(joint.q_shifts)
     q_shifts[dst_pointer] += reach
     limit = dst_grid.half_width / 4
@@ -265,20 +300,15 @@ def apply_conditional_coupling(
             f" exceeds guard {limit:.3g}"
         )
     src_ax, dst_ax = src_pointer + 1, dst_pointer + 1
-    out = []
-    for weight, amps in joint.branches:
-        nd = amps.ndim
-        eig_amps = np.tensordot(vecs.conj().T, amps, axes=(1, 0))
-        ft = np.fft.fft(eig_amps, axis=dst_ax)
-        ft *= np.exp(
-            -1j
-            * gt
-            * _axis_view(lam, nd, 0)
-            * _axis_view(src_grid.positions, nd, src_ax)
-            * _axis_view(dst_grid.wavenumbers, nd, dst_ax)
-        )
-        eig_amps = np.fft.ifft(ft, axis=dst_ax)
-        out.append(Branch(weight, np.tensordot(vecs, eig_amps, axes=(1, 0))))
+    nd = joint.num_pointers + 1
+    phase = np.exp(
+        -1j
+        * gt
+        * _axis_view(lam, nd, 0)
+        * _axis_view(src_grid.positions, nd, src_ax)
+        * _axis_view(dst_grid.wavenumbers, nd, dst_ax)
+    )
+    out = _couple_on_range(joint, vecs, phase, dst_ax)
     return joint._replace_branches(out, q_shifts=tuple(q_shifts))
 
 
@@ -305,6 +335,18 @@ def _project(joint: JointState, c: StateVector) -> tuple[float, JointState | Non
     return prob, joint._replace_branches(branches)
 
 
+def _check_ket_dim(joint: JointState, c: StateVector) -> None:
+    if c.dim != joint.dim:
+        raise ValueError("post-selection ket dimension mismatch")
+
+
+def _check_postselection(prob: float) -> None:
+    if prob < 1e-14:
+        raise PostselectionError(
+            f"post-selection probability {prob:.3e} is numerically zero"
+        )
+
+
 def postselect(joint: JointState, c: StateVector) -> tuple[float, JointState]:
     """Project the system on |c>, renormalize, and report the probability.
 
@@ -312,14 +354,27 @@ def postselect(joint: JointState, c: StateVector) -> tuple[float, JointState]:
     conditional amplitudes.  The probability equals <c|rho'|c> of the evolved
     reduced system state.
     """
-    if c.dim != joint.dim:
-        raise ValueError("post-selection ket dimension mismatch")
+    _check_ket_dim(joint, c)
     prob, conditioned = _project(joint, c)
-    if conditioned is None:
-        raise PostselectionError(
-            f"post-selection probability {prob:.3e} is numerically zero"
-        )
+    _check_postselection(prob)
     return prob, conditioned
+
+
+def _basis_rows(joint: JointState, basis: Sequence[StateVector]) -> np.ndarray:
+    """Rows of a complete orthonormal basis, or ValueError."""
+    dim = joint.dim
+    if len(basis) != dim:
+        raise ValueError(f"need a complete basis of {dim} kets, got {len(basis)}")
+    rows = np.array([b.amps for b in basis])
+    gram = rows @ rows.conj().T
+    if np.max(np.abs(gram - np.eye(dim))) > 1e-10:
+        raise ValueError("measurement basis is not orthonormal")
+    return rows
+
+
+def _check_probability_sum(total: float) -> None:
+    if abs(total - 1.0) > 1e-10:
+        raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
 
 
 def strong_measure(
@@ -329,23 +384,12 @@ def strong_measure(
 
     Returns one (outcome index, probability, conditioned state) triple per
     basis ket; the conditioned state is None when the probability is
-    numerically zero.  Probabilities sum to 1 within 1e-10.
+    numerically zero.  Probabilities sum to 1 within 1e-10.  Readouts that
+    only need pointer moments per outcome use strong_readout instead.
     """
-    dim = joint.dim
-    if len(basis) != dim:
-        raise ValueError(f"need a complete basis of {dim} kets, got {len(basis)}")
-    rows = np.array([b.amps for b in basis])
-    gram = rows @ rows.conj().T
-    if np.max(np.abs(gram - np.eye(dim))) > 1e-10:
-        raise ValueError("measurement basis is not orthonormal")
-    results = []
-    total = 0.0
-    for i, ket in enumerate(basis):
-        prob, conditioned = _project(joint, ket)
-        total += prob
-        results.append((i, prob, conditioned))
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
+    _basis_rows(joint, basis)
+    results = [(i, *_project(joint, ket)) for i, ket in enumerate(basis)]
+    _check_probability_sum(sum(prob for _, prob, _ in results))
     return results
 
 
@@ -386,65 +430,111 @@ def reduced_momentum_density(joint: JointState, idx: int) -> np.ndarray:
     return mass * joint.measure / grid.points
 
 
+def _apply_pointer_variable(amps: np.ndarray, grid: PointerGrid, sigma: float,
+                            ax: int, variable: str) -> np.ndarray:
+    """Q, K or a = Q/(2 sigma) + i sigma K on tensor axis ax, as a new array."""
+    nd = amps.ndim
+    if variable == "Q":
+        return amps * _axis_view(grid.positions, nd, ax)
+    out = np.fft.fft(amps, axis=ax)
+    out *= _axis_view(grid.wavenumbers, nd, ax)
+    out = np.fft.ifft(out, axis=ax)
+    if variable == "a":
+        out *= 1j * sigma
+        out += amps * _axis_view(grid.positions / (2.0 * sigma), nd, ax)
+    return out
+
+
+def system_moments(joint: JointState, *operators: Mapping[int, str]) -> np.ndarray:
+    """System-resolved pointer moments, one N x N matrix per operator.
+
+    Each operator maps pointer index -> variable ("Q", "K" or "a"), its
+    factors acting on distinct pointers (so they commute); an empty mapping
+    is the identity.  Returns G[i, s, s'] = sum_b w_b <psi_b[s]| A_i
+    |psi_b[s']>: Tr G[i] is the joint moment <A_i>, and c^T G[i] conj(c) is
+    P(c) <A_i>_c for the conditioned pointers after outcome |c>.
+    """
+    for op in operators:
+        for idx, variable in op.items():
+            if not 0 <= idx < joint.num_pointers:
+                raise ValueError(f"pointer index {idx} out of range")
+            if variable not in POINTER_VARIABLES:
+                raise ValueError(
+                    f"pointer variable must be one of {POINTER_VARIABLES}, got {variable!r}"
+                )
+    n = joint.dim
+    out = np.zeros((len(operators), n, n), dtype=complex)
+    for weight, amps in joint.branches:
+        kets = amps.reshape(n, -1)
+        for i, op in enumerate(operators):
+            applied = amps
+            for idx, variable in op.items():
+                applied = _apply_pointer_variable(
+                    applied, joint.grids[idx], joint.sigmas[idx], idx + 1, variable
+                )
+            if applied is amps:
+                applied = amps.conj()
+            else:
+                np.conjugate(applied, out=applied)
+            # G[s, s'] = conj(sum_x psi[s, x] conj(A psi)[s', x])
+            out[i] += weight * np.conj(kets @ applied.reshape(n, -1).T)
+    return out * joint.measure
+
+
+def _outcome_moments(joint: JointState, rows: np.ndarray,
+                     operators: Sequence[Mapping[int, str]]) -> np.ndarray:
+    """Row 0: P(c) per ket row c; row i: P(c) <A_i>_c."""
+    moments = system_moments(joint, {}, *operators)
+    return np.einsum("cs,ost,ct->oc", rows, moments, rows.conj())
+
+
+def strong_readout(joint: JointState, basis: Sequence[StateVector],
+                   *operators: Mapping[int, str]) -> tuple[np.ndarray, ...]:
+    """Strong measurement in a complete orthonormal basis, read as moments.
+
+    Returns (P, P<A_1>, P<A_2>, ...): the outcome probabilities (real, in
+    basis order, summing to 1 within 1e-10) and, per pointer operator (see
+    system_moments), P(c) times its moment on the pointers conditioned on
+    outcome c.  Same numbers as strong_measure followed by a moment of each
+    conditioned state, without building those states.
+    """
+    out = _outcome_moments(joint, _basis_rows(joint, basis), operators)
+    probs = out[0].real
+    _check_probability_sum(float(probs.sum()))
+    return (probs, *out[1:])
+
+
+def postselected_moments(joint: JointState, c: StateVector,
+                         *operators: Mapping[int, str]) -> tuple[float, np.ndarray]:
+    """Post-select |c> and read each pointer operator's conditioned moment.
+
+    Returns (P(c), [<A_1>_f, <A_2>_f, ...]) with the probability and checks
+    of postselect, without building the conditioned state.
+    """
+    _check_ket_dim(joint, c)
+    out = _outcome_moments(joint, c.amps[None, :], operators)[:, 0]
+    prob = float(out[0].real)
+    _check_postselection(prob)
+    return prob, out[1:] / prob
+
+
 def pointer_moments(joint: JointState, idx: int) -> tuple[float, float]:
     """(<Q>_f, <K>_f) of pointer idx on the branch-weighted reduced state."""
-    q_mass = reduced_position_density(joint, idx)
-    k_mass = reduced_momentum_density(joint, idx)
-    grid = joint.grids[idx]
-    return (
-        float(np.sum(grid.positions * q_mass)),
-        float(np.sum(grid.wavenumbers * k_mass)),
-    )
+    q, k = np.trace(system_moments(joint, {idx: "Q"}, {idx: "K"}), axis1=1, axis2=2)
+    return float(q.real), float(k.real)
 
 
 def joint_ann_moment(joint: JointState, idx1: int, idx2: int, *more: int) -> complex:
     """<a_i a_j ...> with a = Q/(2 sigma) + i K sigma per pointer.
 
-    Computed as a genuine operator moment on the joint tensor by expanding
-    the product over the 2^n mixed position/momentum moments; operators on
-    distinct pointers commute, so each term is a density contraction in the
-    corresponding mixed representation.
+    A genuine operator moment on the joint tensor: the trace of the
+    system-resolved moment of the product, one FFT pair per pointer.
     """
     indices = (idx1, idx2) + more
     if len(set(indices)) != len(indices):
         raise ValueError(f"pointer indices must be distinct, got {indices}")
-    for idx in indices:
-        if not 0 <= idx < joint.num_pointers:
-            raise ValueError(f"pointer index {idx} out of range")
-    npointers = joint.num_pointers
-    letters = "abcdefgh"[:npointers]
-    total = 0.0 + 0.0j
-    for choice in product((0, 1), repeat=len(indices)):
-        # 0 -> Q factor, 1 -> K factor for the matching index
-        coeff = 1.0 + 0.0j
-        vectors = []
-        k_axes = []
-        for idx, pick in zip(indices, choice):
-            sigma = joint.sigmas[idx]
-            if pick == 0:
-                coeff *= 1.0 / (2.0 * sigma)
-                vectors.append((idx, joint.grids[idx].positions))
-            else:
-                coeff *= 1j * sigma
-                vectors.append((idx, joint.grids[idx].wavenumbers))
-                k_axes.append(idx + 1)
-        norm_factor = joint.measure
-        for idx, pick in zip(indices, choice):
-            if pick == 1:
-                norm_factor /= joint.grids[idx].points
-        moment = 0.0
-        subscripts = (
-            "s" + letters + "," + ",".join(letters[idx] for idx, _ in vectors) + "->"
-        )
-        operands_tail = [vec for _, vec in vectors]
-        for weight, amps in joint.branches:
-            f = amps
-            if k_axes:
-                f = np.fft.fftn(f, axes=k_axes)
-            dens = np.abs(f) ** 2
-            moment += weight * np.einsum(subscripts, dens, *operands_tail)
-        total += coeff * moment * norm_factor
-    return complex(total)
+    (moment,) = system_moments(joint, dict.fromkeys(indices, "a"))
+    return complex(np.trace(moment))
 
 
 def weak_value_from_moments(qf: float, kf: float, g: float, t: float, sigma: float) -> complex:

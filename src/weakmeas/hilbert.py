@@ -85,7 +85,7 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, purity={self.purity():.4f})"
+        return f"DensityMatrix(dim={self.dim}, purity={self.purity:.4f})"
 
 
 class OperatorMatrix:

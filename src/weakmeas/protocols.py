@@ -50,8 +50,8 @@ from .evolution import (
     joint_ann_moment,
     make_joint,
     pointer_moments,
-    postselect,
-    strong_measure,
+    postselected_moments,
+    strong_readout,
     weak_value_from_moments,
 )
 from .hilbert import (
@@ -96,6 +96,10 @@ class ProtocolParams:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.gt <= 0:
             raise ValueError(f"gt must be positive, got {self.gt}")
+        for name in ("gt2", "gt3"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -216,14 +220,13 @@ def direct_wavefunction(
         joint = make_joint(psi, [(grid, sigma)])
         spec = CouplingSpec(projector(standard_ket(n, a)), 0, gt, 1.0)
         joint = apply_coupling(joint, spec)
-        prob, conditioned = postselect(joint, b0)
+        prob, (qf, kf) = postselected_moments(joint, b0, {0: "Q"}, {0: "K"})
         if prob < params.postselect_floor:
             raise PostselectionError(
                 f"post-selection probability {prob:.3e} below floor"
                 f" {params.postselect_floor:g} at setting a={a}"
             )
-        qf, kf = pointer_moments(conditioned, 0)
-        wv = weak_value_from_moments(qf, kf, gt, 1.0, sigma)
+        wv = weak_value_from_moments(qf.real, kf.real, gt, 1.0, sigma)
         raw[a] = wv
         probs[a] = prob
         estimates.append(
@@ -344,19 +347,21 @@ def weak_strong_product(
     joint = make_joint(system, [(grid, sigma)] * n_ptr)
     for j, op in enumerate(chain):
         joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
-    kappa = 1.0
-    for gt in gts:
-        kappa *= 2 * sigma / gt
+    if n_ptr == 1:
+        probs, pq, pk = strong_readout(joint, list(basis), {0: "Q"}, {0: "K"})
+        signals = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, sigma)
+    else:
+        kappa = 1.0
+        for gt in gts:
+            kappa *= 2 * sigma / gt
+        probs, moments = strong_readout(joint, list(basis), dict.fromkeys(range(n_ptr), "a"))
+        signals = kappa * moments
+    # signals already carry the factor P(c)
     total = 0.0 + 0.0j
-    for i, prob, conditioned in strong_measure(joint, list(basis)):
-        if values[i] == 0.0 or prob < 1e-12 or conditioned is None:
+    for i, prob in enumerate(probs):
+        if values[i] == 0.0 or prob < 1e-12:
             continue
-        if n_ptr == 1:
-            qf, kf = pointer_moments(conditioned, 0)
-            signal = weak_value_from_moments(qf, kf, gts[0], 1.0, sigma)
-        else:
-            signal = kappa * joint_ann_moment(conditioned, *range(n_ptr))
-        total += values[i] * prob * signal
+        total += values[i] * signals[i]
     return complex(total)
 
 
@@ -384,12 +389,15 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
             joint = apply_coupling(
                 joint, CouplingSpec(projector(standard_ket(n, a)), 0, gt, 1.0)
             )
-            for b, prob, conditioned in strong_measure(joint, f_basis):
-                if prob < 1e-12 or conditioned is None:
+            probs, pq, pk = strong_readout(joint, f_basis, {0: "Q"}, {0: "K"})
+            for b, prob in enumerate(probs):
+                prob = float(prob)
+                if prob < 1e-12:
                     value = 0.0 + 0.0j
                 else:
-                    qf, kf = pointer_moments(conditioned, 0)
-                    value = prob * weak_value_from_moments(qf, kf, gt, 1.0, sigma)
+                    value = complex(
+                        weak_value_from_moments(pq[b].real, pk[b].real, gt, 1.0, sigma)
+                    )
                 entries[a, b] = value
                 estimates.append(
                     ProtocolEstimate(
@@ -459,11 +467,10 @@ def direct_density(rho, b0: StateVector | None = None,
                 joint, CouplingSpec(projector(standard_ket(n, a1)), 0, gt1, 1.0)
             )
             joint = apply_coupling(joint, CouplingSpec(e_op, 1, gt2, 1.0))
-            for a2, prob, conditioned in strong_measure(joint, s_basis):
-                if prob < 1e-12 or conditioned is None:
-                    value = 0.0 + 0.0j
-                else:
-                    value = prob * kappa * joint_ann_moment(conditioned, 0, 1)
+            probs, moments = strong_readout(joint, s_basis, {0: "a", 1: "a"})
+            for a2, prob in enumerate(probs):
+                prob = float(prob)
+                value = 0.0 + 0.0j if prob < 1e-12 else kappa * complex(moments[a2])
                 raw[a1, a2] = value
                 estimates.append(
                     ProtocolEstimate(

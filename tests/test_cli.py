@@ -80,6 +80,10 @@ class TestRun:
         normalized = np.array([complex(re, im) for re, im in finest["normalized"]])
         assert_allclose(normalized, np.array([1.0, 1.0j]) / np.sqrt(2), atol=1e-3)
 
+    def test_manifest_floor_is_the_protocol_default(self, density_run):
+        manifest = yaml.safe_load((density_run / "manifest.yaml").read_text())
+        assert manifest["postselect_floor"] == ProtocolParams().postselect_floor
+
     def test_single_coupling_matches_library_call(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml",
                            {"protocol": "density",
@@ -188,6 +192,47 @@ class TestConfigErrors:
                             "state": {"preset": "mixed-qubit"}})
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         assert "pure state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"dim": "abc"}, "dim"),
+            ({"sweep": ["x"]}, "sweep"),
+            ({"sweep": [[0.02]]}, "sweep"),
+            ({"seed": "abc"}, "seed"),
+            ({"pointer": {"sigma": "wide"}}, "pointer.sigma"),
+            ({"pointer": {"points": "many"}}, "pointer.points"),
+            ({"pointer": {"half_width": "far"}}, "pointer.half_width"),
+            ({"state": {"random": {"seed": "x", "rank": 2}}}, "state.random.seed"),
+            ({"state": {"random": {"seed": 1, "rank": "two"}}}, "state.random.rank"),
+        ],
+    )
+    def test_non_numeric_field_exits_2(self, tmp_path, capsys, override, field):
+        doc = {"dim": 2, "protocol": "density", "state": {"random": {"seed": 1, "rank": 2}}}
+        doc.update(override)
+        cfg = write_config(tmp_path / "cfg.yaml", doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "pointer, message",
+        [
+            ({"points": 100}, "power of two"),
+            ({"points": 8}, "power of two"),
+            ({"half_width": 4.0}, "half_width >= 8 sigma"),
+        ],
+    )
+    def test_bad_pointer_grid_is_a_config_error(self, tmp_path, capsys, pointer, message):
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "density", "state": {"preset": "mixed-qubit"},
+                            "pointer": pointer})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pointer:")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_yaml_reports_line(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

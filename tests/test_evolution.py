@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,9 +13,13 @@ from weakmeas.evolution import (
     make_joint,
     pointer_moments,
     postselect,
+    postselected_moments,
+    reduced_momentum_density,
     reduced_position_density,
     reduced_system_density,
     strong_measure,
+    strong_readout,
+    system_moments,
     weak_value_from_moments,
 )
 from weakmeas.hilbert import (
@@ -23,6 +29,7 @@ from weakmeas.hilbert import (
     fourier_basis,
     projector,
     random_density,
+    random_state,
     standard_basis,
     standard_ket,
 )
@@ -218,6 +225,194 @@ class TestJointAnnMoment:
         joint = self.two_pointer(standard_ket(2, 0))
         with pytest.raises(ValueError):
             joint_ann_moment(joint, 1, 1)
+
+
+def reference_ann_moment(joint, indices):
+    """<prod_i a_i> summed over the 2^P mixed position/momentum densities.
+
+    Independent of the engine's operator application: a = Q/(2 sigma) +
+    i sigma K is expanded, and each term is a density contraction in the
+    representation where its factors are diagonal.
+    """
+    total = 0j
+    for picks in product("QK", repeat=len(indices)):
+        k_axes = [idx + 1 for idx, pick in zip(indices, picks) if pick == "K"]
+        coeff = 1.0 + 0j
+        term = 0.0
+        for weight, amps in joint.branches:
+            dens = np.abs(np.fft.fftn(amps, axes=k_axes) if k_axes else amps) ** 2
+            for idx, pick in zip(indices, picks):
+                grid = joint.grids[idx]
+                vec = grid.positions if pick == "Q" else grid.wavenumbers / grid.points
+                dens = dens * vec.reshape([-1 if a == idx + 1 else 1 for a in range(dens.ndim)])
+            term += weight * dens.sum()
+        for idx, pick in zip(indices, picks):
+            sigma = joint.sigmas[idx]
+            coeff *= 1 / (2 * sigma) if pick == "Q" else 1j * sigma
+        total += coeff * term * joint.measure
+    return total
+
+
+READOUT_GRIDS = {1: PointerGrid(128, 16.0), 2: PointerGrid(64, 16.0), 3: PointerGrid(32, 16.0)}
+
+
+def coupled_joint(pointers, rank, n=3):
+    """n-level system, one random projector coupled per pointer, K and Q
+    variables alternating, couplings large enough for O(0.1) moments, and a
+    pointer width other than 1 so every sigma factor shows."""
+    system = random_state(n, 11) if rank == 1 else random_density(n, 11, rank)
+    joint = make_joint(system, [(READOUT_GRIDS[pointers], 1.25)] * pointers)
+    for j in range(pointers):
+        spec = CouplingSpec(projector(random_state(n, 20 + j)), j, 0.3 + 0.1 * j, 1.0,
+                            "K" if j % 2 == 0 else "Q")
+        joint = apply_coupling(joint, spec)
+    return joint
+
+
+class TestResolvedReadout:
+    @pytest.mark.parametrize("basis_kind", ["standard", "fourier"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("pointers", [1, 2, 3])
+    def test_matches_conditioned_states(self, pointers, rank, basis_kind):
+        joint = coupled_joint(pointers, rank)
+        basis = standard_basis(3) if basis_kind == "standard" else fourier_basis(3)
+        indices = tuple(range(pointers))
+        probs, pq, pk, pa = strong_readout(
+            joint, basis, {0: "Q"}, {0: "K"}, dict.fromkeys(indices, "a")
+        )
+        for i, prob, conditioned in strong_measure(joint, basis):
+            assert probs[i] == pytest.approx(prob, abs=1e-12)
+            qf, kf = pointer_moments(conditioned, 0)
+            assert abs(pq[i] - prob * qf) < 1e-12
+            assert abs(pk[i] - prob * kf) < 1e-12
+            assert abs(pa[i] - prob * reference_ann_moment(conditioned, indices)) < 1e-12
+            if pointers > 1:
+                assert abs(pa[i] - prob * joint_ann_moment(conditioned, *indices)) < 1e-12
+
+    @pytest.mark.parametrize("pointers", [2, 3])
+    def test_joint_moment_is_the_trace(self, pointers):
+        joint = coupled_joint(pointers, 2)
+        indices = tuple(range(pointers))
+        expected = reference_ann_moment(joint, indices)
+        assert abs(expected) > 1e-3
+        assert abs(joint_ann_moment(joint, *indices) - expected) < 1e-12
+        (moment,) = system_moments(joint, dict.fromkeys(indices, "a"))
+        assert abs(np.trace(moment) - expected) < 1e-12
+
+    def test_pointer_moments_match_reduced_densities(self):
+        joint = coupled_joint(2, 2)
+        for idx in (0, 1):
+            grid = joint.grids[idx]
+            qf = np.sum(grid.positions * reduced_position_density(joint, idx))
+            kf = np.sum(grid.wavenumbers * reduced_momentum_density(joint, idx))
+            assert_allclose(pointer_moments(joint, idx), (qf, kf), atol=1e-12)
+
+    def test_identity_moment_is_reduced_density(self):
+        joint = coupled_joint(2, 2)
+        (gram,) = system_moments(joint, {})
+        assert_allclose(gram, reduced_system_density(joint).T, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_postselected_moments_match_postselect(self, rank):
+        joint = coupled_joint(1, rank)
+        c = random_state(3, 5)
+        prob, (qf, kf) = postselected_moments(joint, c, {0: "Q"}, {0: "K"})
+        ref_prob, conditioned = postselect(joint, c)
+        assert prob == pytest.approx(ref_prob, abs=1e-12)
+        assert_allclose((qf, kf), pointer_moments(conditioned, 0), atol=1e-12)
+
+    def test_postselected_moments_keep_postselect_checks(self):
+        joint = one_pointer(standard_ket(2, 0))
+        with pytest.raises(PostselectionError):
+            postselected_moments(joint, standard_ket(2, 1), {0: "Q"})
+        with pytest.raises(ValueError, match="dimension"):
+            postselected_moments(joint, standard_ket(3, 0), {0: "Q"})
+
+    def test_strong_readout_keeps_basis_checks(self):
+        joint = one_pointer(standard_ket(2, 0))
+        with pytest.raises(ValueError, match="complete basis"):
+            strong_readout(joint, [standard_ket(2, 0)])
+        bad = [standard_ket(2, 0), StateVector(np.array([0.6, 0.8]))]
+        with pytest.raises(ValueError, match="orthonormal"):
+            strong_readout(joint, bad)
+
+    def test_bad_operator_rejected(self):
+        joint = one_pointer(standard_ket(2, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            system_moments(joint, {1: "Q"})
+        with pytest.raises(ValueError, match="variable"):
+            system_moments(joint, {0: "P"})
+
+
+def full_eigenbasis_coupling(joint, matrix, phase_of, fft_axis):
+    """V U_lambda V^dag psi over every eigenvector, per branch amplitudes."""
+    lam, vecs = np.linalg.eigh(matrix)
+    phase = phase_of(lam.reshape([-1] + [1] * joint.num_pointers))
+    out = []
+    for _, amps in joint.branches:
+        eig = np.tensordot(vecs.conj().T, amps, axes=(1, 0))
+        if fft_axis is None:
+            eig = eig * phase
+        else:
+            eig = np.fft.ifft(np.fft.fft(eig, axis=fft_axis) * phase, axis=fft_axis)
+        out.append(np.tensordot(vecs, eig, axes=(1, 0)))
+    return out
+
+
+def rank_two_observable(n=3):
+    """Hermitian, not a projector, eigenvalues (0.7, -0.4, 0, ...)."""
+    q, _ = np.linalg.qr(random_state(n * n, 31).amps.reshape(n, n))
+    lam = np.zeros(n)
+    lam[:2] = (0.7, -0.4)
+    return OperatorMatrix(q @ np.diag(lam) @ q.conj().T)
+
+
+class TestRangeCoupling:
+    GRID = PointerGrid(64, 16.0)
+
+    def start(self):
+        joint = make_joint(random_density(3, 8, 2), [(self.GRID, 1.0)] * 2)
+        # displace pointer 0 so a conditional coupling has a source signal
+        return apply_coupling(joint, CouplingSpec(projector(random_state(3, 9)), 0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("variable", ["K", "Q"])
+    @pytest.mark.parametrize("kind", ["projector", "observable"])
+    def test_matches_full_eigenbasis(self, kind, variable):
+        op = projector(random_state(3, 4)) if kind == "projector" else rank_two_observable()
+        joint = self.start()
+        gt = 0.4
+        nd = 3
+        if variable == "K":
+            k = self.GRID.wavenumbers.reshape(1, 1, -1)
+            expected = full_eigenbasis_coupling(
+                joint, op.matrix, lambda lam: np.exp(-1j * gt * lam * k), nd - 1)
+        else:
+            q = self.GRID.positions.reshape(1, 1, -1)
+            expected = full_eigenbasis_coupling(
+                joint, op.matrix, lambda lam: np.exp(-1j * gt * lam * q), None)
+        coupled = apply_coupling(joint, CouplingSpec(op, 1, gt, 1.0, variable))
+        for branch, ref in zip(coupled.branches, expected):
+            assert np.max(np.abs(branch.amps - ref)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["projector", "observable"])
+    def test_conditional_matches_full_eigenbasis(self, kind):
+        op = projector(random_state(3, 4)) if kind == "projector" else rank_two_observable()
+        joint = self.start()
+        gt = 0.05
+        q_src = self.GRID.positions.reshape(1, -1, 1)
+        k_dst = self.GRID.wavenumbers.reshape(1, 1, -1)
+        expected = full_eigenbasis_coupling(
+            joint, op.matrix, lambda lam: np.exp(-1j * gt * lam * q_src * k_dst), 2)
+        coupled = apply_conditional_coupling(joint, op, 0, 1, gt, 1.0)
+        for branch, ref in zip(coupled.branches, expected):
+            assert np.max(np.abs(branch.amps - ref)) < 1e-12
+
+    def test_standard_projector_moves_one_row(self):
+        joint = self.start()
+        coupled = apply_coupling(joint, CouplingSpec(projector(standard_ket(3, 1)), 1, 0.4, 1.0))
+        for before, after in zip(joint.branches, coupled.branches):
+            assert np.array_equal(before.amps[[0, 2]], after.amps[[0, 2]])
+            assert not np.allclose(before.amps[1], after.amps[1])
 
 
 class TestWeakValueFromMoments:

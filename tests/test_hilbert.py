@@ -65,6 +65,9 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix([[1.2, 0.0], [0.0, -0.2]])
 
+    def test_repr_reports_purity(self):
+        assert repr(DensityMatrix(np.eye(2) / 2)) == "DensityMatrix(dim=2, purity=0.5000)"
+
 
 class TestFourierBasis:
     def test_qubit_kets(self):

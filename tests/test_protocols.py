@@ -66,6 +66,12 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams().grid(4)
 
+    @pytest.mark.parametrize("field", ["gt2", "gt3"])
+    @pytest.mark.parametrize("value", [0.0, -0.01])
+    def test_secondary_couplings_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolParams(**{field: value})
+
 
 class TestDirectWavefunction:
     def test_reference_state_gives_uniform_weak_values(self):
