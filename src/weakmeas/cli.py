@@ -158,6 +158,18 @@ def _entry_to_complex(entry, field: str) -> complex:
     raise ConfigError(f"{field}: expected a number or [re, im] pair, got {entry!r}")
 
 
+def _dump_yaml(doc) -> str:
+    """safe_dump(doc, sort_keys=False) through libyaml when it is available."""
+    return yaml.dump(
+        doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False
+    )
+
+
+def _load_yaml(text: str):
+    """safe_load(text) through libyaml when it is available."""
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -325,8 +337,12 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         raise ConfigError(f"pointer.sigma: must be positive, got {sigma}")
     if grid_points is not None:
         grid_points = _number(grid_points, int, "pointer.points")
+        if grid_points <= 0:
+            raise ConfigError(f"pointer.points: must be positive, got {grid_points}")
     if half_width is not None:
         half_width = _number(half_width, float, "pointer.half_width")
+        if half_width <= 0:
+            raise ConfigError(f"pointer.half_width: must be positive, got {half_width}")
     params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sigma,
                             grid_points=grid_points, half_width=half_width)
     try:
@@ -469,13 +485,13 @@ def _run_dirac(scenario: Scenario, gt: float):
         entries = np.zeros((dim, dim), dtype=complex)
         basis = fourier_basis(dim)
         for a in range(dim):
-            observable = projector(standard_ket(dim, a))
-            for b in range(dim):
-                values = [1.0 if i == b else 0.0 for i in range(dim)]
-                setting = WeakStrongSetting(
-                    scenario.system, observable, basis, values, params
-                )
-                est = sample_protocol(setting, scenario.sampling)
+            # One shot record per weak setting: row b of the identity reads
+            # S(a, b) from the same strong outcomes.
+            setting = WeakStrongSetting(
+                scenario.system, projector(standard_ket(dim, a)), basis,
+                np.eye(dim), params,
+            )
+            for b, est in enumerate(sample_protocol(setting, scenario.sampling)):
                 entries[a, b] = est.value
                 rows.append(
                     _row(
@@ -580,7 +596,7 @@ def _resolve_out_dir(args) -> Path:
 def _write_estimates(out_dir: Path, rows: list[dict], fmt: str) -> Path:
     if fmt == "structured":
         path = out_dir / "estimates.yaml"
-        path.write_text(yaml.safe_dump({"rows": rows}, sort_keys=False))
+        path.write_text(_dump_yaml({"rows": rows}))
         return path
     path = out_dir / "estimates.csv"
     with path.open("w", newline="") as handle:
@@ -656,15 +672,10 @@ def cmd_run(args) -> int:
     if scenario.protocol != "product":
         recon_path = out_dir / "reconstruction.yaml"
         recon_path.write_text(
-            yaml.safe_dump(
-                {"protocol": scenario.protocol, "reconstructions": recons},
-                sort_keys=False,
-            )
+            _dump_yaml({"protocol": scenario.protocol, "reconstructions": recons})
         )
     manifest_path = out_dir / "manifest.yaml"
-    manifest_path.write_text(
-        yaml.safe_dump(_manifest(scenario, args, threads), sort_keys=False)
-    )
+    manifest_path.write_text(_dump_yaml(_manifest(scenario, args, threads)))
 
     worst = max((row["abs_error"] for row in rows), default=0.0)
     print(
@@ -683,7 +694,7 @@ def cmd_run(args) -> int:
 def _read_rows(results_dir: Path) -> list[dict]:
     structured = results_dir / "estimates.yaml"
     if structured.exists():
-        return yaml.safe_load(structured.read_text())["rows"]
+        return _load_yaml(structured.read_text())["rows"]
     path = results_dir / "estimates.csv"
     if not path.exists():
         raise ConfigError(f"no estimates.csv or estimates.yaml in {results_dir}")
@@ -758,7 +769,7 @@ def cmd_report(args) -> int:
     manifest_path = results_dir / "manifest.yaml"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.yaml in {results_dir}")
-    manifest = yaml.safe_load(manifest_path.read_text())
+    manifest = _load_yaml(manifest_path.read_text())
     if len(manifest["sweep"]) < 2:
         raise ConfigError("report needs at least two sweep couplings")
     rows = _read_rows(results_dir)
@@ -796,7 +807,7 @@ def cmd_report(args) -> int:
     recon_path = results_dir / "reconstruction.yaml"
     if recon_path.exists():
         recon_summary = _report_reconstruction(
-            manifest, yaml.safe_load(recon_path.read_text())
+            manifest, _load_yaml(recon_path.read_text())
         )
 
     out_dir = Path(args.out_dir) if args.out_dir else results_dir
@@ -816,9 +827,7 @@ def cmd_report(args) -> int:
             )
     report_yaml = out_dir / "report.yaml"
     report_yaml.write_text(
-        yaml.safe_dump(
-            {"settings": summary, "reconstruction": recon_summary}, sort_keys=False
-        )
+        _dump_yaml({"settings": summary, "reconstruction": recon_summary})
     )
 
     for entry in summary:
@@ -902,7 +911,7 @@ def cmd_oracle(args) -> int:
         value = weak_average(projector(e_ket).matrix @ projector(f_ket).matrix, rho)
         doc["value"] = [float(value.real), float(value.imag)]
     path = out_dir / "oracle.yaml"
-    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    path.write_text(_dump_yaml(doc))
     print(f"wrote {path}")
     return 0
 

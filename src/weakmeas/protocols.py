@@ -96,12 +96,12 @@ class ProtocolParams:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.gt <= 0:
             raise ValueError(f"gt must be positive, got {self.gt}")
-        for name in ("gt2", "gt3"):
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name in ("gt2", "gt3", "grid_points", "half_width"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def couplings(self, n: int) -> tuple[float, ...]:
         extras = (self.gt2, self.gt3)
@@ -113,8 +113,10 @@ class ProtocolParams:
     def grid(self, pointers: int) -> PointerGrid:
         if pointers not in DEFAULT_GRID_POINTS:
             raise ValueError(f"supported pointer counts are 1..3, got {pointers}")
-        points = self.grid_points or DEFAULT_GRID_POINTS[pointers]
-        half_width = self.half_width or 16.0 * self.sigma
+        points = self.grid_points
+        if points is None:
+            points = DEFAULT_GRID_POINTS[pointers]
+        half_width = 16.0 * self.sigma if self.half_width is None else self.half_width
         return PointerGrid(points, half_width)
 
 

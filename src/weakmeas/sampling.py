@@ -14,9 +14,17 @@ usual 1/sqrt(shots) statistical error on top of the O((gt)^2) bias.
 
 Reproducibility contract: draws come from a counter-based generator keyed
 by the plan seed, and shot i owns exactly the stream slots 2i (strong
-outcome) and 2i + 1 (readout, by inverse CDF).  The record for any shot is
-therefore a pure function of (seed, shot index), independent of chunking
-or execution order.
+outcome) and 2i + 1 (readout, by inverse CDF).  Shot i reads position when
+i < round(readout_split * shots) and momentum otherwise, so its record is a
+pure function of (seed, shots, readout_split, i): independent of chunking
+or execution order, but not of the total shot count, which moves the
+position/momentum boundary.
+
+One record serves every outcome-value row of a setting: with a (V, N)
+stack of values, the joint state, the per-outcome laws and the shots are
+built once, and each row is averaged over the same record.  Row v of a
+stack therefore gives exactly the estimate of a single-row call with that
+row.
 """
 
 from __future__ import annotations
@@ -57,16 +65,25 @@ class ShotPlan:
 
 @dataclass(frozen=True)
 class WeakStrongSetting:
-    """One weakly coupled observable, one strong basis, one value per outcome."""
+    """One weakly coupled observable, one strong basis, one value per outcome.
+
+    outcome_values is one row of N values (N = len(basis)) or a (V, N) stack
+    of rows; every row is read from the same shot record.
+    """
 
     system: StateVector | object
     observable: OperatorMatrix
     basis: Sequence[StateVector]
-    outcome_values: Sequence[float]
+    outcome_values: Sequence[float] | Sequence[Sequence[float]]
     params: ProtocolParams
 
     def __post_init__(self) -> None:
-        if len(self.outcome_values) != len(self.basis):
+        shape = np.shape(self.outcome_values)
+        if len(shape) not in (1, 2):
+            raise ValueError(
+                f"outcome_values must be one row or a (V, N) stack, got shape {shape}"
+            )
+        if shape[-1] != len(self.basis):
             raise ValueError("need one outcome value per basis ket")
 
 
@@ -85,8 +102,14 @@ def _cell_cdf(mass: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cdf, edges
 
 
-def sample_protocol(setting: WeakStrongSetting, plan: ShotPlan) -> SampledEstimate:
-    """Simulate the exact per-outcome pointer laws once, then draw shots."""
+def sample_protocol(
+    setting: WeakStrongSetting, plan: ShotPlan
+) -> SampledEstimate | list[SampledEstimate]:
+    """Simulate the exact per-outcome pointer laws once, then draw shots.
+
+    Returns one estimate for a single row of outcome values, or a list with
+    one estimate per row of a (V, N) stack, all from the same shot record.
+    """
     params = setting.params
     (gt,) = params.couplings(1)
     sigma = params.sigma
@@ -128,23 +151,19 @@ def sample_protocol(setting: WeakStrongSetting, plan: ShotPlan) -> SampledEstima
     shot_outcome = np.minimum(
         np.searchsorted(outcome_cdf, u_outcome, side="right"), probs.size - 1
     )
-    is_position = np.arange(plan.shots) < n_pos
+    # Position shots are the prefix [0, n_pos), momentum shots the rest.
+    quadratures = (slice(0, n_pos), slice(n_pos, None))
 
     readout = np.zeros(plan.shots)
     for c_idx, law in enumerate(laws):
-        sel = shot_outcome == c_idx
-        if law is None or not sel.any():
+        if law is None:
             continue
-        (q_cdf, qe), (k_cdf, ke) = law
-        sel_q = sel & is_position
-        sel_k = sel & ~is_position
-        readout[sel_q] = np.interp(u_readout[sel_q], q_cdf, qe)
-        readout[sel_k] = np.interp(u_readout[sel_k], k_cdf, ke)
+        for part, (cdf, edges) in zip(quadratures, law):
+            sel = shot_outcome[part] == c_idx
+            readout[part][sel] = np.interp(u_readout[part][sel], cdf, edges)
 
-    values = np.asarray(setting.outcome_values, dtype=float)
-    weights = values[shot_outcome]
-    re_samples = weights[is_position] * readout[is_position] / gt
-    im_samples = 2 * sigma**2 * weights[~is_position] * readout[~is_position] / gt
+    q_outcome, k_outcome = (shot_outcome[part] for part in quadratures)
+    q_readout, k_readout = (readout[part] for part in quadratures)
 
     def _stats(samples: np.ndarray) -> tuple[float, float]:
         if samples.size == 0:
@@ -156,12 +175,18 @@ def sample_protocol(setting: WeakStrongSetting, plan: ShotPlan) -> SampledEstima
             float(samples.std(ddof=1) / np.sqrt(samples.size)),
         )
 
-    re_mean, re_err = _stats(re_samples)
-    im_mean, im_err = _stats(im_samples)
-    return SampledEstimate(
-        value=complex(re_mean, im_mean),
-        stderr_re=re_err,
-        stderr_im=im_err,
-        shots_position=n_pos,
-        shots_momentum=n_mom,
-    )
+    def _estimate(values: np.ndarray) -> SampledEstimate:
+        re_mean, re_err = _stats(values[q_outcome] * q_readout / gt)
+        im_mean, im_err = _stats(2 * sigma**2 * values[k_outcome] * k_readout / gt)
+        return SampledEstimate(
+            value=complex(re_mean, im_mean),
+            stderr_re=re_err,
+            stderr_im=im_err,
+            shots_position=n_pos,
+            shots_momentum=n_mom,
+        )
+
+    values = np.asarray(setting.outcome_values, dtype=float)
+    if values.ndim == 1:
+        return _estimate(values)
+    return [_estimate(row) for row in values]

@@ -4,9 +4,17 @@ import yaml
 from numpy.testing import assert_allclose
 
 from weakmeas.cli import OUT_DIR_ENV, main
-from weakmeas.hilbert import DensityMatrix, fourier_ket, random_density
+from weakmeas.hilbert import (
+    DensityMatrix,
+    fourier_basis,
+    fourier_ket,
+    projector,
+    random_density,
+    standard_ket,
+)
 from weakmeas.oracle import dirac_exact
 from weakmeas.protocols import ProtocolParams, direct_density
+from weakmeas.sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 
 def write_config(path, doc):
@@ -134,6 +142,80 @@ class TestRun:
         rows = read_csv_rows(out_a / "estimates.csv")
         assert all(row["stderr_re"] != "" for row in rows)
 
+    def test_sampled_rows_match_one_call_per_entry(self, tmp_path):
+        dim, sweep, plan = 4, [0.04, 0.02], ShotPlan(shots=3000, seed=9)
+        doc = {
+            "dim": dim,
+            "protocol": "dirac",
+            "state": {"random": {"seed": 4, "rank": 2}},
+            "sweep": sweep,
+            "sampling": {"shots": plan.shots, "seed": plan.seed},
+        }
+        cfg = write_config(tmp_path / "cfg.yaml", doc)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--threads", "1"]) == 0
+        rows = read_csv_rows(out / "estimates.csv")
+        order = [(gt, a, b) for gt in sweep for a in range(dim) for b in range(dim)]
+        assert [(float(r["gt"]), r["setting"]) for r in rows] == [
+            (gt, f"a={a},b={b}") for gt, a, b in order
+        ]
+        rho = random_density(dim, seed=4, rank=2)
+        for row, (gt, a, b) in zip(rows, order):
+            # The per-entry route: one draw of the record for each (a, b).
+            values = [1.0 if i == b else 0.0 for i in range(dim)]
+            setting = WeakStrongSetting(rho, projector(standard_ket(dim, a)),
+                                        fourier_basis(dim), values,
+                                        ProtocolParams(gt=gt))
+            est = sample_protocol(setting, plan)
+            assert row["re"] == repr(est.value.real)
+            assert row["im"] == repr(est.value.imag)
+            assert row["stderr_re"] == repr(est.stderr_re)
+            assert row["stderr_im"] == repr(est.stderr_im)
+
+
+YAML_RUNS = {
+    "density": ({"protocol": "density", "state": {"preset": "mixed-qubit"},
+                 "sweep": [0.04, 0.02]}, "csv"),
+    "dirac-sampled": ({"dim": 2, "protocol": "dirac",
+                       "state": {"random": {"seed": 4, "rank": 2}},
+                       "sweep": [0.04, 0.02], "sampling": {"shots": 500, "seed": 3}},
+                      "csv"),
+    "wavefunction": ({"protocol": "wavefunction", "state": {"preset": "plus-i"},
+                      "sweep": [0.04, 0.02]}, "structured"),
+}
+
+
+def run_and_report(tmp_path, name):
+    doc, fmt = YAML_RUNS[name]
+    tmp_path.mkdir(exist_ok=True)
+    cfg = write_config(tmp_path / f"{name}.yaml", doc)
+    out = tmp_path / name
+    assert main(["run", cfg, "--out-dir", str(out), "--threads", "1",
+                 "--format", fmt]) == 0
+    assert main(["report", str(out)]) == 0
+    assert main(["oracle", cfg, "--out-dir", str(out / "oracle")]) == 0
+    return {path.relative_to(out): path.read_text()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestYamlOutput:
+    @pytest.mark.parametrize("name", sorted(YAML_RUNS))
+    def test_files_equal_pure_python_safe_dump(self, tmp_path, name):
+        files = run_and_report(tmp_path, name)
+        written = [path for path in files if path.suffix == ".yaml"]
+        assert len(written) >= 4
+        for path in written:
+            text = files[path]
+            assert yaml.safe_dump(yaml.safe_load(text), sort_keys=False) == text, path
+
+    @pytest.mark.parametrize("name", sorted(YAML_RUNS))
+    def test_pure_python_fallback_writes_the_same_files(self, tmp_path, monkeypatch,
+                                                        name):
+        native = run_and_report(tmp_path / "native", name)
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert run_and_report(tmp_path / "fallback", name) == native
+
 
 class TestReport:
     def test_density_report(self, density_run):
@@ -232,6 +314,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: pointer:")
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "pointer, field",
+        [({"points": 0}, "pointer.points"), ({"points": -256}, "pointer.points"),
+         ({"half_width": 0}, "pointer.half_width"),
+         ({"half_width": -16.0}, "pointer.half_width")],
+    )
+    def test_nonpositive_grid_size_names_field(self, tmp_path, capsys, pointer, field):
+        # 0 used to run silently on the default grid.
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "density", "state": {"preset": "mixed-qubit"},
+                            "pointer": pointer})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: must be positive")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_yaml_reports_line(self, tmp_path, capsys):

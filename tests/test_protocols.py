@@ -72,6 +72,18 @@ class TestProtocolParams:
         with pytest.raises(ValueError, match=field):
             ProtocolParams(**{field: value})
 
+    @pytest.mark.parametrize("field", ["grid_points", "half_width"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_grid_sizes_must_be_positive(self, field, value):
+        # 0 used to fall through to the default grid instead of failing.
+        with pytest.raises(ValueError, match=field):
+            ProtocolParams(**{field: value})
+
+    def test_explicit_grid_is_used(self):
+        grid = ProtocolParams(grid_points=128, half_width=12.0).grid(1)
+        assert grid.points == 128
+        assert grid.half_width == 12.0
+
 
 class TestDirectWavefunction:
     def test_reference_state_gives_uniform_weak_values(self):

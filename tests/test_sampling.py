@@ -35,6 +35,19 @@ class TestPlanValidation:
             WeakStrongSetting(random_density(2, seed=1, rank=2), PI0,
                               fourier_basis(2), [1.0], PARAMS)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # rows of length 3 for N = 2
+            np.zeros((2, 2, 2)),  # 3-D
+            [[]],
+        ],
+    )
+    def test_outcome_value_stack_shape(self, values):
+        with pytest.raises(ValueError):
+            WeakStrongSetting(random_density(2, seed=1, rank=2), PI0,
+                              fourier_basis(2), values, PARAMS)
+
     def test_starved_quadrature_rejected(self):
         with pytest.raises(ValueError, match="zero shots"):
             sample_protocol(indicator_setting(),
@@ -52,6 +65,34 @@ class TestDeterminism:
         a = sample_protocol(setting, ShotPlan(shots=4000, seed=1))
         b = sample_protocol(setting, ShotPlan(shots=4000, seed=2))
         assert a.value != b.value
+
+
+class TestSharedRecord:
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("split", [0.5, 0.3, 1.0])
+    def test_stack_equals_single_rows(self, dim, split):
+        rho = random_density(dim, seed=dim, rank=2)
+        observable = projector(standard_ket(dim, 1))
+        basis = fourier_basis(dim)
+        stack = np.vstack([np.eye(dim), np.linspace(-1.0, 2.0, dim)])
+        plan = ShotPlan(shots=3000, seed=17, readout_split=split)
+        shared = sample_protocol(
+            WeakStrongSetting(rho, observable, basis, stack, PARAMS), plan
+        )
+        assert isinstance(shared, list)
+        assert len(shared) == len(stack)
+        for row, est in zip(stack, shared):
+            single = sample_protocol(
+                WeakStrongSetting(rho, observable, basis, list(row), PARAMS), plan
+            )
+            assert est == single
+
+    def test_single_row_stack_returns_a_list(self):
+        setting = indicator_setting()
+        plan = ShotPlan(shots=500, seed=4)
+        stacked = WeakStrongSetting(setting.system, PI0, setting.basis,
+                                    [setting.outcome_values], PARAMS)
+        assert sample_protocol(stacked, plan) == [sample_protocol(setting, plan)]
 
 
 class TestConsistency:
