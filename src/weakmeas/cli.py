@@ -26,20 +26,22 @@ re-parse to the in-memory values exactly.  `report` fits convergence slopes
 and extrapolates the sweep to zero coupling; `calibrate` checks the Scheme 1
 readout constant; `oracle` writes closed-form values only.
 
-Exit codes: 0 success, 2 config or input errors, 3 protocol aborts
-(post-selection failure, pointer wrap-around, scheme constraints),
-1 anything unexpected.
+Exit codes: 0 success, 2 config or input errors (including a b0 the route
+rejects, a scheme the protocol has no route for, and non-finite, boolean or
+fractional numbers), 3 protocol aborts (post-selection failure, pointer
+wrap-around, a route refusing its input), 1 anything unexpected.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +65,19 @@ from .oracle import dirac_exact, weak_average, weak_value_pure
 from .pointer import HBAR, WrapAroundError, gaussian_pointer
 from .protocols import (
     DEFAULT_SWEEP,
+    ROUTE_POINTERS,
     SCHEMES,
     ProtocolParams,
+    _require_unbiased_b0,
+    _require_uniform_b0,
+    as_system,
     calibrate_scheme1,
     convergence_slope,
     direct_density,
     direct_dirac,
     direct_wavefunction,
     extrapolate_sweep,
+    hermitize_normalize,
     invert_dirac,
     scheme1_weak_product,
     scheme2_weak_product,
@@ -80,6 +87,7 @@ from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
+# The first three columns are text; every later one is a float or empty.
 CSV_COLUMNS = (
     "protocol",
     "scheme",
@@ -94,6 +102,10 @@ CSV_COLUMNS = (
     "stderr_re",
     "stderr_im",
 )
+REPORT_COLUMNS = (
+    "setting", "points", "slope", "extrapolated_re", "extrapolated_im",
+    "oracle_re", "oracle_im", "extrapolated_abs_error",
+)
 
 
 class ConfigError(Exception):
@@ -101,24 +113,25 @@ class ConfigError(Exception):
 
 
 class ProtocolAbort(RuntimeError):
-    """A setting aborted mid-run (post-selection, wrap-around, scheme rules)."""
+    """A setting aborted mid-run (post-selection, wrap-around, a route refusing its input)."""
 
 
 @dataclass
 class Scenario:
+    """A resolved config.  params holds the scheme and the pointer settings
+    at the first sweep coupling; each run replaces its gt."""
+
     dim: int
     system: StateVector | DensityMatrix
+    rho: np.ndarray
     state_label: str
     protocol: str
     scheme: str
     sweep: tuple[float, ...]
-    grid_points: int | None
-    half_width: float | None
-    sigma: float
+    params: ProtocolParams
     b0_label: str
     b0: StateVector
-    product_e: str | None
-    product_f: str | None
+    product: dict[str, str] | None  # {"e": label, "f": label}
     sampling: ShotPlan | None
 
 
@@ -141,20 +154,37 @@ def _from_pairs(obj) -> np.ndarray:
 
 
 def _number(value, kind: type, field: str):
-    """int(value) or float(value); ConfigError naming the field otherwise."""
+    """value as a finite float, or as an int when kind is int; ConfigError
+    naming the field for anything else, booleans and fractions included."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"{field}: expected a number ({kind.__name__}), got {value!r}"
         ) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: must be finite, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
+
+
+def _seed(value, field: str) -> int:
+    seed = _number(value, int, field)
+    if seed < 0:
+        raise ConfigError(f"{field}: must be >= 0, got {seed}")
+    return seed
 
 
 def _entry_to_complex(entry, field: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
+        return complex(_number(entry[0], float, field), _number(entry[1], float, field))
+    if isinstance(entry, (int, float)):
+        return complex(_number(entry, float, field))
     raise ConfigError(f"{field}: expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -246,6 +276,8 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
     if kind == "preset":
         system, dim = _resolve_preset(spec, dim, "state.preset")
         return system, dim, str(spec)
+    if kind in ("amps", "density") and not isinstance(spec, list):
+        raise ConfigError(f"state.{kind}: expected a list, got {spec!r}")
     if kind == "amps":
         amps = np.array(
             [_entry_to_complex(e, "state.amps") for e in spec], dtype=complex
@@ -257,6 +289,8 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
         except ValueError as exc:
             raise ConfigError(f"state.amps: {exc}") from exc
     if kind == "density":
+        if not all(isinstance(row, list) and len(row) == len(spec) for row in spec):
+            raise ConfigError("state.density: expected a square list of rows")
         rows = [[_entry_to_complex(e, "state.density") for e in row] for row in spec]
         mat = np.array(rows, dtype=complex)
         if dim is not None and mat.shape != (dim, dim):
@@ -274,7 +308,7 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
     seed = spec.get("seed", default_seed)
     if seed is None:
         raise ConfigError("state.random.seed: required (or pass --seed)")
-    seed = _number(seed, int, "state.random.seed")
+    seed = _seed(seed, "state.random.seed")
     rank = spec.get("rank")
     if rank is None:
         return random_state(dim, seed), dim, f"random(seed={seed})"
@@ -311,11 +345,11 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     scheme = raw.get("scheme", "substitution")
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme: expected one of {SCHEMES}, got {scheme!r}")
-    if protocol == "wavefunction":
-        if not isinstance(system, StateVector):
-            raise ConfigError("state: protocol wavefunction requires a pure state")
-        if scheme != "substitution":
-            raise ConfigError("scheme: protocol wavefunction supports substitution only")
+    if (protocol, scheme) not in ROUTE_POINTERS:
+        schemes = ", ".join(s for p, s in ROUTE_POINTERS if p == protocol)
+        raise ConfigError(f"scheme: protocol {protocol} supports {schemes} only")
+    if protocol == "wavefunction" and not isinstance(system, StateVector):
+        raise ConfigError("state: protocol wavefunction requires a pure state")
 
     sweep = raw.get("sweep", list(DEFAULT_SWEEP))
     if not isinstance(sweep, (list, tuple)) or not sweep:
@@ -330,38 +364,39 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     for key in pointer:
         if key not in ("points", "half_width", "sigma"):
             raise ConfigError(f"pointer.{key}: unknown key")
-    grid_points = pointer.get("points")
-    half_width = pointer.get("half_width")
-    sigma = _number(pointer.get("sigma", 1.0), float, "pointer.sigma")
-    if sigma <= 0:
-        raise ConfigError(f"pointer.sigma: must be positive, got {sigma}")
-    if grid_points is not None:
-        grid_points = _number(grid_points, int, "pointer.points")
-        if grid_points <= 0:
-            raise ConfigError(f"pointer.points: must be positive, got {grid_points}")
-    if half_width is not None:
-        half_width = _number(half_width, float, "pointer.half_width")
-        if half_width <= 0:
-            raise ConfigError(f"pointer.half_width: must be positive, got {half_width}")
-    params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sigma,
-                            grid_points=grid_points, half_width=half_width)
+    sizes = {"sigma": 1.0, **pointer}
+    for key, kind in (("sigma", float), ("points", int), ("half_width", float)):
+        # A null points or half_width means the route's default grid.
+        if key == "sigma" or sizes.get(key) is not None:
+            sizes[key] = _number(sizes[key], kind, f"pointer.{key}")
+            if sizes[key] <= 0:
+                raise ConfigError(f"pointer.{key}: must be positive, got {sizes[key]}")
+    params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sizes["sigma"],
+                            grid_points=sizes.get("points"), half_width=sizes.get("half_width"))
     try:
-        gaussian_pointer(params.grid(_route_pointers(protocol, scheme)), sigma)
+        gaussian_pointer(params.grid(ROUTE_POINTERS[protocol, scheme]), params.sigma)
     except ValueError as exc:
         raise ConfigError(f"pointer: {exc}") from exc
 
     b0_label = str(raw.get("b0", "fourier-0"))
     b0 = _parse_label(b0_label, dim, "b0")
+    try:
+        # The checks the routes themselves run on b0.
+        if protocol == "wavefunction":
+            _require_unbiased_b0(b0)
+        elif protocol == "density":
+            _require_uniform_b0(b0)
+    except ValueError as exc:
+        raise ConfigError(f"b0: {exc}") from None
 
-    product_e = product_f = None
+    product = None
     if protocol == "product":
         prod = raw.get("product")
         if not isinstance(prod, dict) or "e" not in prod or "f" not in prod:
             raise ConfigError("product: mapping with keys e and f required")
-        product_e = str(prod["e"])
-        product_f = str(prod["f"])
-        _parse_label(product_e, dim, "product.e")
-        _parse_label(product_f, dim, "product.f")
+        product = {key: str(prod[key]) for key in ("e", "f")}
+        for key, label in product.items():
+            _parse_label(label, dim, f"product.{key}")
     elif raw.get("product") is not None:
         raise ConfigError("product: only valid with protocol=product")
 
@@ -382,27 +417,27 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
             raise ConfigError("sampling.seed: required (or pass --seed)")
         try:
             sampling = ShotPlan(
-                shots=int(spec["shots"]),
-                seed=int(seed),
-                readout_split=float(spec.get("readout_split", 0.5)),
+                shots=_number(spec["shots"], int, "sampling.shots"),
+                seed=_seed(seed, "sampling.seed"),
+                readout_split=_number(
+                    spec.get("readout_split", 0.5), float, "sampling.readout_split"
+                ),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"sampling: {exc}") from exc
 
     return Scenario(
         dim=dim,
         system=system,
+        rho=as_system(system)[1],
         state_label=state_label,
         protocol=protocol,
         scheme=scheme,
         sweep=sweep,
-        grid_points=grid_points,
-        half_width=half_width,
-        sigma=sigma,
+        params=params,
         b0_label=b0_label,
         b0=b0,
-        product_e=product_e,
-        product_f=product_f,
+        product=product,
         sampling=sampling,
     )
 
@@ -410,30 +445,29 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
 # ---------------------------------------------------------------- running
 
 
-def _density_array(system) -> np.ndarray:
-    if isinstance(system, StateVector):
-        return np.outer(system.amps, system.amps.conj())
-    return system.matrix
-
-
-def _params(scenario: Scenario, gt: float) -> ProtocolParams:
-    return ProtocolParams(
-        gt=gt,
-        scheme=scenario.scheme,
-        sigma=scenario.sigma,
-        grid_points=scenario.grid_points,
-        half_width=scenario.half_width,
+def _product_ops(scenario: Scenario):
+    """Projectors on the product scenario's E and F labels."""
+    return tuple(
+        projector(_parse_label(label, scenario.dim, f"product.{key}"))
+        for key, label in scenario.product.items()
     )
 
 
-def _route_pointers(protocol: str, scheme: str) -> int:
-    if protocol == "wavefunction":
-        return 1
-    if protocol == "dirac":
-        return 1 if scheme == "substitution" else 2
-    if protocol == "density":
-        return 2 if scheme == "substitution" else 3
-    return 1 if scheme == "substitution" else 2
+def _exact(scenario: Scenario) -> np.ndarray:
+    """Closed-form value of every setting, indexed by the setting's labels:
+    [a], [a, b], [a1, a2], or [()] for the single product setting."""
+    dim, rho = scenario.dim, scenario.rho
+    if scenario.protocol == "wavefunction":
+        return np.array([
+            weak_value_pure(projector(standard_ket(dim, a)).matrix, scenario.system, scenario.b0)
+            for a in range(dim)
+        ])
+    if scenario.protocol == "dirac":
+        return dirac_exact(rho).entries
+    if scenario.protocol == "density":
+        return rho / dim
+    e_op, f_op = _product_ops(scenario)
+    return np.array(weak_average(e_op.matrix @ f_op.matrix, rho))
 
 
 def _row(scenario, setting, gt, value, oracle, prob=None, stderr=None):
@@ -455,135 +489,88 @@ def _row(scenario, setting, gt, value, oracle, prob=None, stderr=None):
     }
 
 
-def _run_wavefunction(scenario: Scenario, gt: float):
-    out = direct_wavefunction(scenario.system, scenario.b0, _params(scenario, gt))
-    rows = []
-    for est in out.estimates:
-        a = dict(est.setting)["a"]
-        oracle = weak_value_pure(
-            projector(standard_ket(scenario.dim, a)).matrix,
-            scenario.system,
-            scenario.b0,
-        )
-        rows.append(
-            _row(scenario, f"a={a}", gt, est.value, oracle, prob=est.postselect_prob)
-        )
-    recon = {
-        "gt": float(gt),
-        "normalized": _pairs(out.normalized),
-        "raw_weak_values": _pairs(out.weak_values),
-    }
-    return rows, recon
-
-
-def _run_dirac(scenario: Scenario, gt: float):
-    exact = dirac_exact(_density_array(scenario.system)).entries
-    params = _params(scenario, gt)
-    rows = []
-    if scenario.sampling is not None:
-        dim = scenario.dim
-        entries = np.zeros((dim, dim), dtype=complex)
-        basis = fourier_basis(dim)
-        for a in range(dim):
-            # One shot record per weak setting: row b of the identity reads
-            # S(a, b) from the same strong outcomes.
-            setting = WeakStrongSetting(
-                scenario.system, projector(standard_ket(dim, a)), basis,
-                np.eye(dim), params,
-            )
-            for b, est in enumerate(sample_protocol(setting, scenario.sampling)):
-                entries[a, b] = est.value
-                rows.append(
-                    _row(
-                        scenario,
-                        f"a={a},b={b}",
-                        gt,
-                        est.value,
-                        exact[a, b],
-                        stderr=(est.stderr_re, est.stderr_im),
-                    )
-                )
-    else:
+def _route_readout(scenario: Scenario, params: ProtocolParams):
+    """Estimates and reconstruction fields of the wavefunction, Dirac or
+    density route at one coupling."""
+    if scenario.protocol == "wavefunction":
+        out = direct_wavefunction(scenario.system, scenario.b0, params)
+        return out.estimates, {
+            "normalized": _pairs(out.normalized),
+            "raw_weak_values": _pairs(out.weak_values),
+        }
+    if scenario.protocol == "dirac":
         out = direct_dirac(scenario.system, params)
-        entries = out.distribution.entries
-        for est in out.estimates:
-            setting = dict(est.setting)
-            a, b = setting["a"], setting["b"]
-            rows.append(
-                _row(
-                    scenario,
-                    f"a={a},b={b}",
-                    gt,
-                    est.value,
-                    exact[a, b],
-                    prob=est.postselect_prob,
-                )
-            )
-    recon = {"gt": float(gt), "entries": _matrix_pairs(entries)}
-    return rows, recon
-
-
-def _run_density(scenario: Scenario, gt: float):
-    rho = _density_array(scenario.system)
-    out = direct_density(scenario.system, scenario.b0, _params(scenario, gt))
-    rows = []
-    for est in out.estimates:
-        setting = dict(est.setting)
-        a1, a2 = setting["a1"], setting["a2"]
-        oracle = rho[a1, a2] / scenario.dim
-        rows.append(
-            _row(
-                scenario,
-                f"a1={a1},a2={a2}",
-                gt,
-                est.value,
-                oracle,
-                prob=est.postselect_prob,
-            )
-        )
-    recon = {
-        "gt": float(gt),
+        return out.estimates, {"entries": _matrix_pairs(out.distribution.entries)}
+    out = direct_density(scenario.system, scenario.b0, params)
+    return out.estimates, {
         "matrix": _matrix_pairs(out.matrix),
         "raw": _matrix_pairs(out.raw),
         "min_eigenvalue": float(out.diagnostics["min_eigenvalue"]),
         "hermiticity_defect": float(out.diagnostics["hermiticity_defect"]),
     }
-    return rows, recon
 
 
-def _run_product(scenario: Scenario, gt: float):
+def _run_sampled_dirac(scenario: Scenario, params: ProtocolParams):
     dim = scenario.dim
-    e_ket = _parse_label(scenario.product_e, dim, "product.e")
-    f_ket = _parse_label(scenario.product_f, dim, "product.f")
-    e_op, f_op = projector(e_ket), projector(f_ket)
-    params = _params(scenario, gt)
-    oracle = weak_average(e_op.matrix @ f_op.matrix, _density_array(scenario.system))
+    exact = _exact(scenario)
+    entries = np.zeros((dim, dim), dtype=complex)
+    basis = fourier_basis(dim)
+    rows = []
+    for a in range(dim):
+        # One shot record per weak setting: row b of the identity reads
+        # S(a, b) from the same strong outcomes.
+        setting = WeakStrongSetting(
+            scenario.system, projector(standard_ket(dim, a)), basis, np.eye(dim), params,
+        )
+        for b, est in enumerate(sample_protocol(setting, scenario.sampling)):
+            entries[a, b] = est.value
+            rows.append(
+                _row(scenario, f"a={a},b={b}", params.gt, est.value, exact[a, b],
+                     stderr=(est.stderr_re, est.stderr_im))
+            )
+    return rows, {"gt": float(params.gt), "entries": _matrix_pairs(entries)}
+
+
+def _run_product(scenario: Scenario, params: ProtocolParams):
+    e_op, f_op = _product_ops(scenario)
     if scenario.scheme == "scheme1":
         value = scheme1_weak_product(scenario.system, e_op, f_op, params)
     elif scenario.scheme == "scheme2":
         value = scheme2_weak_product(scenario.system, e_op, f_op, params)
     else:
-        kind, index = scenario.product_e.rsplit("-", 1)
+        dim = scenario.dim
+        kind, index = scenario.product["e"].rsplit("-", 1)
         basis = standard_basis(dim) if kind == "basis" else fourier_basis(dim)
         values = [1.0 if i == int(index) else 0.0 for i in range(dim)]
         value = weak_strong_product(scenario.system, f_op, basis, values, params)
-    setting = f"e={scenario.product_e},f={scenario.product_f}"
-    return [_row(scenario, setting, gt, value, oracle)], {"gt": float(gt)}
-
-
-RUNNERS = {
-    "wavefunction": _run_wavefunction,
-    "dirac": _run_dirac,
-    "density": _run_density,
-    "product": _run_product,
-}
+    setting = ",".join(f"{key}={label}" for key, label in scenario.product.items())
+    row = _row(scenario, setting, params.gt, value, _exact(scenario)[()])
+    return [row], {"gt": float(params.gt)}
 
 
 def _run_one_gt(scenario: Scenario, gt: float):
     try:
-        return RUNNERS[scenario.protocol](scenario, gt)
+        params = replace(scenario.params, gt=gt)
+        if scenario.protocol == "product":
+            return _run_product(scenario, params)
+        if scenario.sampling is not None:
+            return _run_sampled_dirac(scenario, params)
+        estimates, recon = _route_readout(scenario, params)
+        exact = _exact(scenario)
     except (PostselectionError, WrapAroundError, ValueError, RuntimeError) as exc:
         raise ProtocolAbort(f"gt={gt:g}: {exc}") from exc
+    rows = [
+        _row(
+            scenario,
+            ",".join(f"{name}={label}" for name, label in est.setting),
+            gt,
+            est.value,
+            exact[tuple(label for _, label in est.setting)],
+            prob=est.postselect_prob,
+        )
+        for est in estimates
+    ]
+    return rows, {"gt": float(gt), **recon}
 
 
 def _resolve_out_dir(args) -> Path:
@@ -593,39 +580,33 @@ def _resolve_out_dir(args) -> Path:
     return path
 
 
-def _write_estimates(out_dir: Path, rows: list[dict], fmt: str) -> Path:
-    if fmt == "structured":
-        path = out_dir / "estimates.yaml"
-        path.write_text(_dump_yaml({"rows": rows}))
-        return path
-    path = out_dir / "estimates.csv"
+def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Header, then one line per row: floats as repr, None as empty."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow(
                 "" if row[col] is None else repr(row[col]) if isinstance(row[col], float) else row[col]
-                for col in CSV_COLUMNS
+                for col in columns
             )
-    return path
 
 
 def _manifest(scenario: Scenario, args, threads: int) -> dict:
-    pointers = _route_pointers(scenario.protocol, scenario.scheme)
-    params = _params(scenario, scenario.sweep[0])
+    pointers = ROUTE_POINTERS[scenario.protocol, scenario.scheme]
+    params = scenario.params
     grid = params.grid(pointers)
     kappa_by_gt = [
-        {"gt": float(gt), "kappa": float((2 * scenario.sigma / gt) ** pointers)}
+        {"gt": float(gt), "kappa": float((2 * params.sigma / gt) ** pointers)}
         for gt in scenario.sweep
     ]
-    plan = scenario.sampling
     return {
         "version": __version__,
         "protocol": scenario.protocol,
         "scheme": scenario.scheme,
         "dim": scenario.dim,
         "state_label": scenario.state_label,
-        "state_density": _matrix_pairs(_density_array(scenario.system)),
+        "state_density": _matrix_pairs(scenario.rho),
         "b0_label": scenario.b0_label,
         "b0_amps": _pairs(scenario.b0.amps),
         "hbar": float(HBAR),
@@ -633,25 +614,13 @@ def _manifest(scenario: Scenario, args, threads: int) -> dict:
         "pointer": {
             "points": int(grid.points),
             "half_width": float(grid.half_width),
-            "sigma": float(scenario.sigma),
+            "sigma": float(params.sigma),
         },
         "pointers_used": pointers,
         "kappa_by_gt": kappa_by_gt,
         "postselect_floor": params.postselect_floor,
-        "product": (
-            None
-            if scenario.product_e is None
-            else {"e": scenario.product_e, "f": scenario.product_f}
-        ),
-        "sampling": (
-            None
-            if plan is None
-            else {
-                "shots": plan.shots,
-                "seed": plan.seed,
-                "readout_split": float(plan.readout_split),
-            }
-        ),
+        "product": scenario.product,
+        "sampling": None if scenario.sampling is None else asdict(scenario.sampling),
         "threads": threads,
         "format": args.format,
     }
@@ -667,7 +636,12 @@ def cmd_run(args) -> int:
     rows = [row for chunk, _ in results for row in chunk]
     recons = [recon for _, recon in results]
 
-    estimates_path = _write_estimates(out_dir, rows, args.format)
+    if args.format == "structured":
+        estimates_path = out_dir / "estimates.yaml"
+        estimates_path.write_text(_dump_yaml({"rows": rows}))
+    else:
+        estimates_path = out_dir / "estimates.csv"
+        _write_csv(estimates_path, CSV_COLUMNS, rows)
     recon_path = None
     if scenario.protocol != "product":
         recon_path = out_dir / "reconstruction.yaml"
@@ -698,32 +672,12 @@ def _read_rows(results_dir: Path) -> list[dict]:
     path = results_dir / "estimates.csv"
     if not path.exists():
         raise ConfigError(f"no estimates.csv or estimates.yaml in {results_dir}")
-    rows = []
     with path.open(newline="") as handle:
-        for record in csv.DictReader(handle):
-            row = dict(record)
-            for key in ("gt", "re", "im", "oracle_re", "oracle_im", "abs_error",
-                        "postselect_prob", "stderr_re", "stderr_im"):
-                row[key] = float(row[key]) if row[key] not in (None, "") else None
-            rows.append(row)
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        for key in CSV_COLUMNS[3:]:
+            row[key] = float(row[key]) if row[key] not in (None, "") else None
     return rows
-
-
-def _extrapolate_matrices(gts, matrices) -> np.ndarray:
-    """Entrywise zero-coupling extrapolation of a stack of matrices."""
-    gts = np.asarray(gts, dtype=float)
-    stack = np.array(matrices)
-    x = (gts / gts.max()) ** 2
-    degree = min(gts.size - 1, 2)
-    design = np.vander(x, degree + 1, increasing=True)
-    flat = stack.reshape(gts.size, -1)
-    coef, *_ = np.linalg.lstsq(design, flat, rcond=None)
-    return coef[0].reshape(stack.shape[1:])
-
-
-def _hermitize_normalize(matrix: np.ndarray) -> np.ndarray:
-    herm = (matrix + matrix.conj().T) / 2
-    return herm / np.real(np.trace(herm))
 
 
 def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
@@ -735,7 +689,7 @@ def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
     true_rho = _from_pairs(manifest["state_density"])
     if protocol == "density":
         mats = [_from_pairs(r["matrix"]) for r in recons]
-        extrap = _hermitize_normalize(_extrapolate_matrices(gts, mats))
+        extrap = hermitize_normalize(extrapolate_sweep(gts, mats))
         return {
             "kind": "density",
             "extrapolated_matrix": _matrix_pairs(extrap),
@@ -743,8 +697,8 @@ def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
         }
     if protocol == "dirac":
         mats = [_from_pairs(r["entries"]) for r in recons]
-        extrap_entries = _extrapolate_matrices(gts, mats)
-        implied = _hermitize_normalize(invert_dirac(extrap_entries))
+        extrap_entries = extrapolate_sweep(gts, mats)
+        implied = hermitize_normalize(invert_dirac(extrap_entries))
         return {
             "kind": "dirac",
             "extrapolated_entries": _matrix_pairs(extrap_entries),
@@ -753,7 +707,7 @@ def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
         }
     if protocol == "wavefunction":
         vecs = [_from_pairs(r["normalized"]) for r in recons]
-        extrap = _extrapolate_matrices(gts, [v[:, None] for v in vecs])[:, 0]
+        extrap = extrapolate_sweep(gts, vecs)
         extrap = extrap / np.linalg.norm(extrap)
         outer = np.outer(extrap, extrap.conj())
         return {
@@ -813,18 +767,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else results_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     report_csv = out_dir / "report.csv"
-    columns = (
-        "setting", "points", "slope", "extrapolated_re", "extrapolated_im",
-        "oracle_re", "oracle_im", "extrapolated_abs_error",
-    )
-    with report_csv.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for entry in summary:
-            writer.writerow(
-                "" if entry[c] is None else repr(entry[c]) if isinstance(entry[c], float) else entry[c]
-                for c in columns
-            )
+    _write_csv(report_csv, REPORT_COLUMNS, summary)
     report_yaml = out_dir / "report.yaml"
     report_yaml.write_text(
         _dump_yaml({"settings": summary, "reconstruction": recon_summary})
@@ -854,11 +797,11 @@ def cmd_calibrate(args) -> int:
     result = calibrate_scheme1()
     out_dir = _resolve_out_dir(args)
     path = out_dir / "calibration.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("gt", "ratio_re", "ratio_im", "kappa"))
-        for gt, ratio, kappa in zip(result.gts, result.ratios, result.kappas):
-            writer.writerow((repr(gt), repr(ratio.real), repr(ratio.imag), repr(kappa)))
+    rows = [
+        {"gt": gt, "ratio_re": ratio.real, "ratio_im": ratio.imag, "kappa": kappa}
+        for gt, ratio, kappa in zip(result.gts, result.ratios, result.kappas)
+    ]
+    _write_csv(path, ("gt", "ratio_re", "ratio_im", "kappa"), rows)
     print("gt        ratio_re        ratio_im        kappa")
     for gt, ratio, kappa in zip(result.gts, result.ratios, result.kappas):
         print(f"{gt:<8g}  {ratio.real:<14.10f}  {ratio.imag:<14.3e}  {kappa:g}")
@@ -880,7 +823,7 @@ def cmd_calibrate(args) -> int:
 def cmd_oracle(args) -> int:
     scenario = resolve_config(load_config(args.config), args.seed)
     out_dir = _resolve_out_dir(args)
-    rho = _density_array(scenario.system)
+    exact = _exact(scenario)
     doc = {
         "version": __version__,
         "protocol": scenario.protocol,
@@ -888,28 +831,15 @@ def cmd_oracle(args) -> int:
         "state_label": scenario.state_label,
     }
     if scenario.protocol == "wavefunction":
-        amps = scenario.system.amps
-        doc["normalized"] = _pairs(amps)
-        doc["weak_values"] = _pairs(
-            [
-                weak_value_pure(
-                    projector(standard_ket(scenario.dim, a)).matrix,
-                    scenario.system,
-                    scenario.b0,
-                )
-                for a in range(scenario.dim)
-            ]
-        )
+        doc["normalized"] = _pairs(scenario.system.amps)
+        doc["weak_values"] = _pairs(exact)
     elif scenario.protocol == "dirac":
-        doc["entries"] = _matrix_pairs(dirac_exact(rho).entries)
+        doc["entries"] = _matrix_pairs(exact)
     elif scenario.protocol == "density":
-        doc["matrix"] = _matrix_pairs(rho)
-        doc["triple_weak_averages"] = _matrix_pairs(rho / scenario.dim)
+        doc["matrix"] = _matrix_pairs(scenario.rho)
+        doc["triple_weak_averages"] = _matrix_pairs(exact)
     else:
-        e_ket = _parse_label(scenario.product_e, scenario.dim, "product.e")
-        f_ket = _parse_label(scenario.product_f, scenario.dim, "product.f")
-        value = weak_average(projector(e_ket).matrix @ projector(f_ket).matrix, rho)
-        doc["value"] = [float(value.real), float(value.imag)]
+        doc["value"] = _pairs([exact])[0]
     path = out_dir / "oracle.yaml"
     path.write_text(_dump_yaml(doc))
     print(f"wrote {path}")
@@ -927,20 +857,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("config", help="scenario config (YAML)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="default seed for random state / sampling")
+    def out_dir(p):
         p.add_argument("--out-dir", default=None,
                        help=f"output directory (default ${OUT_DIR_ENV} or ./results)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: available parallelism)")
-        p.add_argument("--format", choices=("csv", "structured"), default="csv",
-                       help="estimates table format")
+
+    def scenario(p):
+        p.add_argument("config", help="scenario config (YAML)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="default seed for random state / sampling")
+        out_dir(p)
 
     p_run = sub.add_parser("run", help="execute a scenario sweep")
-    common(p_run)
+    scenario(p_run)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="worker threads (default: available parallelism)")
+    p_run.add_argument("--format", choices=("csv", "structured"), default="csv",
+                       help="estimates table format")
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="convergence fit over run outputs")
@@ -950,11 +882,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_cal = sub.add_parser("calibrate", help="check the scheme-1 readout constant")
-    common(p_cal, config=False)
+    out_dir(p_cal)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_oracle = sub.add_parser("oracle", help="closed-form values, no simulation")
-    common(p_oracle)
+    scenario(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 
@@ -966,10 +898,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ProtocolAbort as exc:
-        print(f"protocol abort: {exc}", file=sys.stderr)
-        return 3
-    except (PostselectionError, WrapAroundError) as exc:
+    except (ProtocolAbort, PostselectionError, WrapAroundError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return 3
     except Exception:

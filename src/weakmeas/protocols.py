@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +71,19 @@ from .pointer import PointerGrid
 DEFAULT_SWEEP = (0.08, 0.04, 0.02, 0.01)
 DEFAULT_GRID_POINTS = {1: 512, 2: 256, 3: 64}
 SCHEMES = ("substitution", "scheme1", "scheme2")
+# Pointers each (protocol, scheme) route couples.  Density via scheme2 is
+# refused (see direct_density), so it has no entry.
+ROUTE_POINTERS = {
+    ("wavefunction", "substitution"): 1,
+    ("dirac", "substitution"): 1,
+    ("dirac", "scheme1"): 2,
+    ("dirac", "scheme2"): 2,
+    ("density", "substitution"): 2,
+    ("density", "scheme1"): 3,
+    ("product", "substitution"): 1,
+    ("product", "scheme1"): 2,
+    ("product", "scheme2"): 2,
+}
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,61 @@ def _require_uniform_b0(b0: StateVector) -> None:
         )
 
 
-def _as_system(state):
+def _require_unbiased_b0(b0: StateVector) -> None:
+    if unbiasedness_defect(b0) > 1e-10:
+        raise ValueError("b0 must be unbiased with respect to the standard basis")
+
+
+def _weak_readouts(system, chains: Iterable[Sequence[OperatorMatrix]],
+                   params: ProtocolParams, readout) -> Iterator:
+    """Yield readout(joint) for each chain of ops, where joint is system (x)
+    one Gaussian pointer per op after coupling op j to pointer j's momentum
+    with params.couplings(len(ops))[j], first to last.
+
+    Only this generator holds the joint states, and each is released when
+    the next chain's product state has been built, as in a plain loop over
+    settings.  Releasing it before that let the allocator hand its pages
+    back and fault them in again (5-10% slower on the density routes);
+    holding it through the next chain's couplings costs a third state of
+    peak memory.  A fresh grid per chain likewise cost page faults.
+    """
+    grids = {}  # one grid per pointer count, shared by every joint state
+    for ops in chains:
+        n_ptr = len(ops)
+        gts = params.couplings(n_ptr)
+        if n_ptr not in grids:
+            grids[n_ptr] = params.grid(n_ptr)
+        joint = make_joint(system, [(grids[n_ptr], params.sigma)] * n_ptr)
+        for j, op in enumerate(ops):
+            joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
+        yield readout(joint)
+
+
+def _kappa(gts: Sequence[float], sigma: float) -> float:
+    """Product readout constant prod_j 2 sigma/(g_j t)."""
+    kappa = 1.0
+    for gt in gts:
+        kappa *= 2 * sigma / gt
+    return kappa
+
+
+def _estimates(values: np.ndarray, names: tuple[str, ...], scheme: str,
+               gts: tuple[float, ...], probs: np.ndarray | None = None):
+    """One ProtocolEstimate per entry of values, in index order, labelled by
+    zip(names, index)."""
+    return tuple(
+        ProtocolEstimate(
+            value=complex(values[idx]),
+            setting=tuple(zip(names, idx)),
+            scheme=scheme,
+            gt_products=gts,
+            postselect_prob=None if probs is None else float(probs[idx]),
+        )
+        for idx in np.ndindex(values.shape)
+    )
+
+
+def as_system(state):
     """Normalize pure/mixed input to (typed system, density matrix array)."""
     if isinstance(state, StateVector):
         return state, np.outer(state.amps, state.amps.conj())
@@ -209,37 +276,23 @@ def direct_wavefunction(
     constant is not physical.
     """
     params = params or ProtocolParams()
-    if unbiasedness_defect(b0) > 1e-10:
-        raise ValueError("b0 must be unbiased with respect to the standard basis")
+    _require_unbiased_b0(b0)
     n = psi.dim
-    grid = params.grid(1)
     (gt,) = params.couplings(1)
-    sigma = params.sigma
     raw = np.empty(n, dtype=complex)
     probs = np.empty(n)
-    estimates = []
-    for a in range(n):
-        joint = make_joint(psi, [(grid, sigma)])
-        spec = CouplingSpec(projector(standard_ket(n, a)), 0, gt, 1.0)
-        joint = apply_coupling(joint, spec)
-        prob, (qf, kf) = postselected_moments(joint, b0, {0: "Q"}, {0: "K"})
+    reads = _weak_readouts(
+        psi, ([projector(standard_ket(n, a))] for a in range(n)), params,
+        lambda joint: postselected_moments(joint, b0, {0: "Q"}, {0: "K"}),
+    )
+    for a, (prob, (qf, kf)) in enumerate(reads):
         if prob < params.postselect_floor:
             raise PostselectionError(
                 f"post-selection probability {prob:.3e} below floor"
                 f" {params.postselect_floor:g} at setting a={a}"
             )
-        wv = weak_value_from_moments(qf.real, kf.real, gt, 1.0, sigma)
-        raw[a] = wv
+        raw[a] = weak_value_from_moments(qf.real, kf.real, gt, 1.0, params.sigma)
         probs[a] = prob
-        estimates.append(
-            ProtocolEstimate(
-                value=wv,
-                setting=(("a", a),),
-                scheme="weak_strong",
-                gt_products=(gt,),
-                postselect_prob=prob,
-            )
-        )
     norm = np.linalg.norm(raw)
     if norm < 1e-12:
         raise RuntimeError("weak-value readout vanished for every a")
@@ -248,7 +301,8 @@ def direct_wavefunction(
         if abs(amp) > 1e-6:
             normalized = normalized * np.exp(-1j * np.angle(amp))
             break
-    return WavefunctionReadout(raw, normalized, probs, tuple(estimates))
+    estimates = _estimates(raw, ("a",), "weak_strong", (gt,), probs)
+    return WavefunctionReadout(raw, normalized, probs, estimates)
 
 
 def mixed_state_response(rho, b0: StateVector) -> np.ndarray:
@@ -259,7 +313,7 @@ def mixed_state_response(rho, b0: StateVector) -> np.ndarray:
     numbers: identical for rho = I/N and rho = |b0><b0|, which is why the
     scan cannot identify a mixed state.
     """
-    _, r = _as_system(rho)
+    _, r = as_system(rho)
     if b0.dim != r.shape[0]:
         raise ValueError("b0 dimension mismatch")
     column = r @ b0.amps
@@ -278,16 +332,14 @@ def scheme1_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
     Complex output is expected whenever EF is not Hermitian.
     """
     params = params or ProtocolParams()
-    system, _ = _as_system(system)
+    system, _ = as_system(system)
     gt1, gt2 = params.couplings(2)
     sigma = params.sigma
     _warn_if_strong(gt1 * gt2, sigma)
-    grid = params.grid(2)
-    joint = make_joint(system, [(grid, sigma), (grid, sigma)])
-    joint = apply_coupling(joint, CouplingSpec(f_op, 0, gt1, 1.0))
-    joint = apply_coupling(joint, CouplingSpec(e_op, 1, gt2, 1.0))
-    kappa = (2 * sigma / gt1) * (2 * sigma / gt2)
-    return kappa * joint_ann_moment(joint, 0, 1)
+    [moment] = _weak_readouts(
+        system, [[f_op, e_op]], params, lambda joint: joint_ann_moment(joint, 0, 1)
+    )
+    return _kappa((gt1, gt2), sigma) * moment
 
 
 def scheme2_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
@@ -299,7 +351,7 @@ def scheme2_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
     docstring for how the D = Q convention was pinned down.
     """
     params = params or ProtocolParams()
-    system, _ = _as_system(system)
+    system, _ = as_system(system)
     gt1, gt2 = params.couplings(2)
     sigma = params.sigma
     _warn_if_strong(gt1 * gt2, sigma)
@@ -332,7 +384,7 @@ def weak_strong_product(
     the operator product EF.
     """
     params = params or ProtocolParams()
-    system, _ = _as_system(system)
+    system, _ = as_system(system)
     if isinstance(weak_ops, OperatorMatrix):
         chain = [weak_ops]
     else:
@@ -344,20 +396,15 @@ def weak_strong_product(
         raise ValueError("need one outcome value per basis ket")
     n_ptr = len(chain)
     gts = params.couplings(n_ptr)
-    sigma = params.sigma
-    grid = params.grid(n_ptr)
-    joint = make_joint(system, [(grid, sigma)] * n_ptr)
-    for j, op in enumerate(chain):
-        joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
+    operators = ({0: "Q"}, {0: "K"}) if n_ptr == 1 else (dict.fromkeys(range(n_ptr), "a"),)
+    [(probs, *moments)] = _weak_readouts(
+        system, [chain], params, lambda joint: strong_readout(joint, list(basis), *operators)
+    )
     if n_ptr == 1:
-        probs, pq, pk = strong_readout(joint, list(basis), {0: "Q"}, {0: "K"})
-        signals = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, sigma)
+        pq, pk = moments
+        signals = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, params.sigma)
     else:
-        kappa = 1.0
-        for gt in gts:
-            kappa *= 2 * sigma / gt
-        probs, moments = strong_readout(joint, list(basis), dict.fromkeys(range(n_ptr), "a"))
-        signals = kappa * moments
+        signals = _kappa(gts, params.sigma) * moments[0]
     # signals already carry the factor P(c)
     total = 0.0 + 0.0j
     for i, prob in enumerate(probs):
@@ -376,58 +423,34 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
     two-pointer product instead.
     """
     params = params or ProtocolParams()
-    system, r = _as_system(rho)
+    system, r = as_system(rho)
     n = r.shape[0]
-    sigma = params.sigma
     entries = np.zeros((n, n), dtype=complex)
-    estimates = []
     f_basis = fourier_basis(n)
     if params.scheme == "substitution":
-        grid = params.grid(1)
-        (gt,) = params.couplings(1)
-        gts = (gt,)
-        for a in range(n):
-            joint = make_joint(system, [(grid, sigma)])
-            joint = apply_coupling(
-                joint, CouplingSpec(projector(standard_ket(n, a)), 0, gt, 1.0)
-            )
-            probs, pq, pk = strong_readout(joint, f_basis, {0: "Q"}, {0: "K"})
-            for b, prob in enumerate(probs):
-                prob = float(prob)
-                if prob < 1e-12:
-                    value = 0.0 + 0.0j
-                else:
-                    value = complex(
-                        weak_value_from_moments(pq[b].real, pk[b].real, gt, 1.0, sigma)
+        gts = params.couplings(1)
+        probs = np.empty((n, n))
+        reads = _weak_readouts(
+            system, ([projector(standard_ket(n, a))] for a in range(n)), params,
+            lambda joint: strong_readout(joint, f_basis, {0: "Q"}, {0: "K"}),
+        )
+        for a, (probs[a], pq, pk) in enumerate(reads):
+            for b in range(n):
+                if probs[a, b] >= 1e-12:
+                    entries[a, b] = weak_value_from_moments(
+                        pq[b].real, pk[b].real, gts[0], 1.0, params.sigma
                     )
-                entries[a, b] = value
-                estimates.append(
-                    ProtocolEstimate(
-                        value=value,
-                        setting=(("a", a), ("b", b)),
-                        scheme="weak_strong",
-                        gt_products=gts,
-                        postselect_prob=prob,
-                    )
-                )
+        estimates = _estimates(entries, ("a", "b"), "weak_strong", gts, probs)
     else:
         gts = params.couplings(2)
         run = scheme1_weak_product if params.scheme == "scheme1" else scheme2_weak_product
         for a in range(n):
             f_op = projector(standard_ket(n, a))
             for b in range(n):
-                value = run(system, projector(f_basis[b]), f_op, params)
-                entries[a, b] = value
-                estimates.append(
-                    ProtocolEstimate(
-                        value=value,
-                        setting=(("a", a), ("b", b)),
-                        scheme=params.scheme,
-                        gt_products=gts,
-                    )
-                )
+                entries[a, b] = run(system, projector(f_basis[b]), f_op, params)
+        estimates = _estimates(entries, ("a", "b"), params.scheme, gts)
     atol = 0.05 * max(1.0, (max(gts) / 0.02) ** 2)
-    return DiracReadout(DiracDistribution(entries, atol=atol), tuple(estimates))
+    return DiracReadout(DiracDistribution(entries, atol=atol), estimates)
 
 
 def direct_density(rho, b0: StateVector | None = None,
@@ -442,7 +465,7 @@ def direct_density(rho, b0: StateVector | None = None,
     its readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see module docstring).
     """
     params = params or ProtocolParams()
-    system, r = _as_system(rho)
+    system, r = as_system(rho)
     n = r.shape[0]
     if b0 is None:
         b0 = fourier_ket(n, 0)
@@ -453,74 +476,53 @@ def direct_density(rho, b0: StateVector | None = None,
             " readout converges to (<c|EF rho|c> + <c|E rho F|c>)/2;"
             " use scheme='substitution' or scheme='scheme1'"
         )
-    sigma = params.sigma
     raw = np.zeros((n, n), dtype=complex)
-    estimates = []
     e_op = projector(b0)
     if params.scheme == "substitution":
-        gt1, gt2 = params.couplings(2)
-        gts = (gt1, gt2)
-        grid = params.grid(2)
-        kappa = (2 * sigma / gt1) * (2 * sigma / gt2)
+        gts = params.couplings(2)
+        kappa = _kappa(gts, params.sigma)
         s_basis = standard_basis(n)
-        for a1 in range(n):
-            joint = make_joint(system, [(grid, sigma)] * 2)
-            joint = apply_coupling(
-                joint, CouplingSpec(projector(standard_ket(n, a1)), 0, gt1, 1.0)
-            )
-            joint = apply_coupling(joint, CouplingSpec(e_op, 1, gt2, 1.0))
-            probs, moments = strong_readout(joint, s_basis, {0: "a", 1: "a"})
-            for a2, prob in enumerate(probs):
-                prob = float(prob)
-                value = 0.0 + 0.0j if prob < 1e-12 else kappa * complex(moments[a2])
-                raw[a1, a2] = value
-                estimates.append(
-                    ProtocolEstimate(
-                        value=value,
-                        setting=(("a1", a1), ("a2", a2)),
-                        scheme="weak_strong",
-                        gt_products=gts,
-                        postselect_prob=prob,
-                    )
-                )
+        probs = np.empty((n, n))
+        reads = _weak_readouts(
+            system, ([projector(standard_ket(n, a1)), e_op] for a1 in range(n)), params,
+            lambda joint: strong_readout(joint, s_basis, {0: "a", 1: "a"}),
+        )
+        for a1, (probs[a1], moments) in enumerate(reads):
+            for a2 in range(n):
+                if probs[a1, a2] >= 1e-12:
+                    raw[a1, a2] = kappa * complex(moments[a2])
+        estimates = _estimates(raw, ("a1", "a2"), "weak_strong", gts, probs)
     else:
         gts = params.couplings(3)
-        grid = params.grid(3)
-        kappa = 1.0
-        for gt in gts:
-            kappa *= 2 * sigma / gt
-        for a1 in range(n):
-            for a2 in range(n):
-                joint = make_joint(system, [(grid, sigma)] * 3)
-                joint = apply_coupling(
-                    joint, CouplingSpec(projector(standard_ket(n, a1)), 0, gts[0], 1.0)
-                )
-                joint = apply_coupling(joint, CouplingSpec(e_op, 1, gts[1], 1.0))
-                joint = apply_coupling(
-                    joint, CouplingSpec(projector(standard_ket(n, a2)), 2, gts[2], 1.0)
-                )
-                value = kappa * joint_ann_moment(joint, 0, 1, 2)
-                raw[a1, a2] = value
-                estimates.append(
-                    ProtocolEstimate(
-                        value=value,
-                        setting=(("a1", a1), ("a2", a2)),
-                        scheme="scheme1",
-                        gt_products=gts,
-                    )
-                )
+        kappa = _kappa(gts, params.sigma)
+        chains = (
+            [projector(standard_ket(n, a1)), e_op, projector(standard_ket(n, a2))]
+            for a1, a2 in np.ndindex(n, n)
+        )
+        moments = _weak_readouts(
+            system, chains, params, lambda joint: joint_ann_moment(joint, 0, 1, 2)
+        )
+        for (a1, a2), moment in zip(np.ndindex(n, n), moments):
+            raw[a1, a2] = kappa * moment
+        estimates = _estimates(raw, ("a1", "a2"), "scheme1", gts)
     scaled = n * raw
-    hermitized = (scaled + scaled.conj().T) / 2
-    trace = float(np.real(np.trace(hermitized)))
-    if abs(trace) < 1e-6:
-        raise RuntimeError(f"reconstructed trace {trace:.3e} too small to normalize")
-    matrix = hermitized / trace
+    matrix = hermitize_normalize(scaled)
     diagnostics = {
         "trace_raw": complex(np.trace(scaled)),
         "hermiticity_defect": float(np.max(np.abs(scaled - scaled.conj().T))),
         "min_eigenvalue": float(np.linalg.eigvalsh(matrix)[0]),
     }
-    return DensityReadout(raw, matrix, diagnostics, tuple(estimates))
+    return DensityReadout(raw, matrix, diagnostics, estimates)
+
+
+def hermitize_normalize(matrix: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 divided by its real trace; RuntimeError when that trace
+    is below 1e-6 in magnitude."""
+    hermitized = (matrix + matrix.conj().T) / 2
+    trace = float(np.real(np.trace(hermitized)))
+    if abs(trace) < 1e-6:
+        raise RuntimeError(f"reconstructed trace {trace:.3e} too small to normalize")
+    return hermitized / trace
 
 
 def invert_dirac(entries: np.ndarray) -> np.ndarray:
@@ -559,26 +561,29 @@ def calibrate_scheme1(params: ProtocolParams | None = None,
     for gt in sweep:
         p = replace(base, gt=gt, gt2=gt, scheme="scheme1")
         ratios.append(scheme1_weak_product(state, pi0, pi0, p))
-        kappas.append((2 * base.sigma / gt) ** 2)
+        kappas.append(_kappa(p.couplings(2), p.sigma))
     extrapolated = extrapolate_sweep(sweep, ratios)
     return CalibrationResult(tuple(sweep), tuple(ratios), extrapolated, tuple(kappas))
 
 
-def extrapolate_sweep(gts: Sequence[float], values: Sequence[complex]) -> complex:
+def extrapolate_sweep(gts: Sequence[float], values) -> complex | np.ndarray:
     """Zero-coupling limit of a sweep, assuming corrections even in gt.
 
     Least-squares fit of value = v0 + c1 (gt)^2 + c2 (gt)^4 (degree capped
-    by the number of points); returns v0.
+    by the number of points); returns v0.  values[i] is the value at gts[i],
+    a scalar or an array; arrays are fitted entrywise in one solve and v0
+    has their shape, scalars give a complex.
     """
     gts = np.asarray(gts, dtype=float)
     values = np.asarray(values, dtype=complex)
-    if gts.size != values.size or gts.size < 2:
+    if values.shape[:1] != gts.shape or gts.size < 2:
         raise ValueError("need at least two sweep points to extrapolate")
     x = (gts / gts.max()) ** 2
     degree = min(gts.size - 1, 2)
     design = np.vander(x, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return complex(coef[0])
+    coef, *_ = np.linalg.lstsq(design, values.reshape(gts.size, -1), rcond=None)
+    v0 = coef[0].reshape(values.shape[1:])
+    return complex(v0) if values.ndim == 1 else v0
 
 
 def convergence_slope(gts: Sequence[float], errors: Sequence[float]) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from weakmeas.cli import OUT_DIR_ENV, main
+from weakmeas.cli import OUT_DIR_ENV, PROTOCOLS, ConfigError, main, resolve_config
 from weakmeas.hilbert import (
     DensityMatrix,
     fourier_basis,
@@ -13,7 +15,7 @@ from weakmeas.hilbert import (
     standard_ket,
 )
 from weakmeas.oracle import dirac_exact
-from weakmeas.protocols import ProtocolParams, direct_density
+from weakmeas.protocols import SCHEMES, ProtocolParams, direct_density
 from weakmeas.sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 
@@ -287,6 +289,24 @@ class TestConfigErrors:
             ({"pointer": {"half_width": "far"}}, "pointer.half_width"),
             ({"state": {"random": {"seed": "x", "rank": 2}}}, "state.random.seed"),
             ({"state": {"random": {"seed": 1, "rank": "two"}}}, "state.random.rank"),
+            ({"state": {"amps": [[1, "x"], [0, 0]]}}, "state.amps"),
+            ({"state": {"amps": 5}}, "state.amps"),
+            ({"state": {"density": 3}}, "state.density"),
+            ({"state": {"density": [[1, 0], [0]]}}, "state.density"),
+            # Non-finite, fractional and boolean numbers used to run (nan
+            # estimates, a truncated dim, shot count or seed, gt 1.0) or crash.
+            ({"sweep": [float("nan"), 0.01]}, "sweep"),
+            ({"sweep": [True]}, "sweep"),
+            ({"pointer": {"sigma": float("nan")}}, "pointer.sigma"),
+            ({"dim": 2.5}, "dim"),
+            ({"dim": float("inf")}, "dim"),
+            ({"protocol": "dirac", "sampling": {"shots": 2.7, "seed": 1}}, "sampling.shots"),
+            ({"protocol": "dirac", "sampling": {"shots": 10, "seed": 1, "readout_split": True}},
+             "sampling.readout_split"),
+            ({"protocol": "dirac", "sampling": {"shots": 10, "seed": -1}}, "sampling.seed"),
+            ({"state": {"random": {"seed": 1.5, "rank": 2}}}, "state.random.seed"),
+            ({"state": {"random": {"seed": -1, "rank": 2}}}, "state.random.seed"),
+            ({"state": {"amps": [1, float("nan")]}}, "state.amps"),
         ],
     )
     def test_non_numeric_field_exits_2(self, tmp_path, capsys, override, field):
@@ -297,6 +317,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"{field}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("protocol", ["density", "wavefunction"])
+    def test_bad_b0_is_a_config_error(self, tmp_path, capsys, protocol):
+        # It used to reach the route and exit 3 as a protocol abort.
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"dim": 2, "protocol": protocol, "b0": "basis-0",
+                            "state": {"random": {"seed": 1}}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: b0:")
+        assert not (tmp_path / "out").exists()
+
+    def test_scheme_without_a_route_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "density", "scheme": "scheme2",
+                            "state": {"preset": "mixed-qubit"}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scheme: protocol density supports")
+        assert "scheme2" not in err.split("supports")[1]
 
     @pytest.mark.parametrize(
         "pointer, message",
@@ -349,11 +388,127 @@ class TestAborts:
         assert "protocol abort" in capsys.readouterr().err
 
 
+# Values of mixed types, and a sensible value for each field of the schema.
+JUNK = st.one_of(
+    # Numbers stay small: dim and pointer.points size the arrays that
+    # resolve_config allocates.
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.text(max_size=3),
+    st.lists(st.integers(-1, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.none()),
+)
+ENTRY = st.one_of(JUNK, st.lists(JUNK, min_size=2, max_size=2))
+LABELS = ("basis-0", "basis-1", "basis-4", "fourier-0", "fourier-1", "fourier-x",
+          "plus-i", "mixed-qubit", "werner-0.3", "werner-2", "maximally-mixed")
+FIELDS = {
+    ("dim",): st.sampled_from([2, 3, 4]),
+    ("state",): st.one_of(
+        st.fixed_dictionaries({"preset": st.sampled_from(LABELS)}),
+        st.fixed_dictionaries({"amps": st.lists(ENTRY, min_size=2, max_size=4)}),
+        st.fixed_dictionaries(
+            {"density": st.lists(st.lists(ENTRY, min_size=2, max_size=2), min_size=2,
+                                 max_size=2)}
+        ),
+    ),
+    ("state", "random", "seed"): st.integers(0, 9),
+    ("state", "random", "rank"): st.integers(1, 3),
+    ("protocol",): st.sampled_from(PROTOCOLS),
+    ("scheme",): st.sampled_from(SCHEMES),
+    ("sweep",): st.lists(st.sampled_from([0.08, 0.02]), min_size=1, max_size=3),
+    ("pointer", "points"): st.sampled_from([64, 128, 256]),
+    ("pointer", "half_width"): st.sampled_from([12.0, 16.0]),
+    ("pointer", "sigma"): st.sampled_from([0.5, 1.0, 2.0]),
+    ("b0",): st.sampled_from(LABELS),
+    ("product", "e"): st.sampled_from(LABELS),
+    ("product", "f"): st.sampled_from(LABELS),
+    ("sampling", "shots"): st.integers(1, 100),
+    ("sampling", "seed"): st.integers(0, 9),
+    ("sampling", "readout_split"): st.sampled_from([0.0, 0.5, 1.0]),
+    ("seed",): st.integers(0, 9),
+}
+EDITS = st.lists(
+    st.sampled_from(sorted(FIELDS)).flatmap(
+        lambda path: st.tuples(st.just(path), st.one_of(JUNK, FIELDS[path]))
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def configs(draw):
+    """A valid config of any protocol with up to four fields set to other values."""
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    raw = {"dim": 2, "protocol": protocol, "state": {"random": {"seed": 1}}}
+    if protocol == "product":
+        raw["product"] = {"e": "fourier-1", "f": "basis-0"}
+    for path, value in draw(EDITS):
+        node = raw
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[path[-1]] = value
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs())
+def test_resolve_config_resolves_or_names_the_field(raw):
+    try:
+        scenario = resolve_config(raw)
+    except ConfigError as exc:
+        assert str(exc).split(":")[0], exc
+        return
+    assert scenario.protocol in PROTOCOLS
+    assert scenario.rho.shape == (scenario.dim, scenario.dim)
+
+
 class TestCalibrateAndOracle:
     def test_calibrate_passes(self, tmp_path, capsys):
         assert main(["calibrate", "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "calibration.csv").exists()
         assert "extrapolated ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("calibrate", ["--seed", "3"]), ("calibrate", ["--threads", "7"]),
+         ("calibrate", ["--format", "structured"]), ("oracle", ["--threads", "7"]),
+         ("oracle", ["--format", "structured"])],
+    )
+    def test_unused_flags_are_rejected(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "density", "state": {"preset": "mixed-qubit"}})
+        args = [command] + ([cfg] if command == "oracle" else []) + flag
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--out-dir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"protocol": "wavefunction", "state": {"preset": "plus-i"}},
+            {"dim": 2, "protocol": "dirac", "state": {"random": {"seed": 4, "rank": 2}}},
+            {"protocol": "density", "state": {"preset": "werner-0.4"}},
+            {"dim": 2, "protocol": "product", "state": {"random": {"seed": 4, "rank": 2}},
+             "product": {"e": "fourier-1", "f": "basis-0"}},
+        ],
+        ids=lambda doc: doc["protocol"],
+    )
+    def test_oracle_file_equals_the_run_oracle_columns(self, tmp_path, doc):
+        cfg = write_config(tmp_path / "cfg.yaml", {**doc, "sweep": [0.04]})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+        assert main(["oracle", cfg, "--out-dir", str(tmp_path / "oracle")]) == 0
+        oracle = yaml.safe_load((tmp_path / "oracle" / "oracle.yaml").read_text())
+        field = {"wavefunction": "weak_values", "dirac": "entries",
+                 "density": "triple_weak_averages", "product": "value"}[doc["protocol"]]
+        exact = np.array(oracle[field], dtype=float)
+        rows = read_csv_rows(tmp_path / "run" / "estimates.csv")
+        assert len(rows) == exact.size // 2
+        for row in rows:
+            labels = () if doc["protocol"] == "product" else tuple(
+                int(part.split("=")[1]) for part in row["setting"].split(",")
+            )
+            assert [float(row["oracle_re"]), float(row["oracle_im"])] == list(exact[labels])
 
     def test_oracle_dirac_entries(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml",

@@ -17,7 +17,9 @@ from weakmeas.hilbert import (
     trace_distance,
 )
 from weakmeas.oracle import density_from_triple_exact, dirac_exact, weak_average
+from weakmeas import protocols
 from weakmeas.protocols import (
+    ROUTE_POINTERS,
     ProtocolParams,
     calibrate_scheme1,
     convergence_slope,
@@ -26,6 +28,7 @@ from weakmeas.protocols import (
     direct_dirac,
     direct_wavefunction,
     extrapolate_sweep,
+    hermitize_normalize,
     invert_dirac,
     mixed_state_response,
     scheme1_weak_product,
@@ -376,6 +379,38 @@ class TestSweepHelpers:
         with pytest.raises(ValueError):
             extrapolate_sweep([0.02], [0.5])
 
+    def test_values_need_one_entry_per_coupling(self):
+        with pytest.raises(ValueError):
+            extrapolate_sweep([0.04, 0.02], [0.5, 0.4, 0.3])
+        with pytest.raises(ValueError):
+            extrapolate_sweep([0.04, 0.02], np.zeros((3, 2)))
+
+    def test_scalar_values_give_a_complex(self):
+        assert type(extrapolate_sweep([0.04, 0.02], np.array([0.5, 0.4]))) is complex
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3,)])
+    def test_stack_equals_entrywise_scalar_calls(self, shape):
+        gts = [0.08, 0.04, 0.02, 0.01]
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
+        out = extrapolate_sweep(gts, stack)
+        assert out.shape == shape
+        entrywise = np.empty(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            entrywise[idx] = extrapolate_sweep(gts, stack[(slice(None), *idx)])
+        assert np.array_equal(out, entrywise)
+
+    def test_hermitize_normalize(self):
+        m = np.array([[2.0, 1.0 + 1.0j], [0.0, 2.0]])
+        out = hermitize_normalize(m)
+        assert_allclose(out, out.conj().T, atol=0)
+        assert np.trace(out) == pytest.approx(1.0, abs=1e-15)
+        assert out[0, 1] == pytest.approx((0.5 + 0.5j) / 4, abs=1e-15)
+
+    def test_hermitize_normalize_refuses_vanishing_trace(self):
+        with pytest.raises(RuntimeError, match="too small to normalize"):
+            hermitize_normalize(np.diag([1.0, -1.0 + 1e-9]))
+
     def test_slope_of_quadratic_errors(self):
         gts = np.array([0.08, 0.04, 0.02])
         assert convergence_slope(gts, 3 * gts**2) == pytest.approx(2.0, abs=1e-6)
@@ -395,3 +430,36 @@ def test_sab_weak_average_matches_scheme1():
         ProtocolParams(gt=0.01, scheme="scheme1"),
     )
     assert value == pytest.approx(oracle, abs=5e-4)
+
+
+class _Built(Exception):
+    pass
+
+
+def _call_route(protocol, scheme):
+    """The library call behind one (protocol, scheme) route of the CLI."""
+    rho, p = random_density(2, seed=3, rank=2), ProtocolParams(gt=0.01, scheme=scheme)
+    if protocol == "wavefunction":
+        return direct_wavefunction(random_state(2, 1), B0, p)
+    if protocol == "dirac":
+        return direct_dirac(rho, p)
+    if protocol == "density":
+        return direct_density(rho, B0, p)
+    if scheme == "substitution":
+        return weak_strong_product(rho, PI0, [B0, fourier_ket(2, 1)], [1.0, 0.0], p)
+    run = scheme1_weak_product if scheme == "scheme1" else scheme2_weak_product
+    return run(rho, PI0, PI0, p)
+
+
+@pytest.mark.parametrize("protocol, scheme", sorted(ROUTE_POINTERS))
+def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol, scheme):
+    built = []
+
+    def record(system, pointers):
+        built.append(len(pointers))
+        raise _Built
+
+    monkeypatch.setattr(protocols, "make_joint", record)
+    with pytest.raises(_Built):
+        _call_route(protocol, scheme)
+    assert built == [ROUTE_POINTERS[protocol, scheme]]
