@@ -27,9 +27,10 @@ and extrapolates the sweep to zero coupling; `calibrate` checks the Scheme 1
 readout constant; `oracle` writes closed-form values only.
 
 Exit codes: 0 success, 2 config or input errors (including a b0 the route
-rejects, a scheme the protocol has no route for, and non-finite, boolean or
-fractional numbers), 3 protocol aborts (post-selection failure, pointer
-wrap-around, a route refusing its input), 1 anything unexpected.
+or the oracle rejects, a scheme the protocol has no route for, non-finite,
+boolean or fractional numbers, and sizes past MAX_AMPLITUDES), 3 protocol
+aborts (post-selection failure, pointer wrap-around, a route refusing its
+input), 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -81,11 +82,18 @@ from .protocols import (
     invert_dirac,
     scheme1_weak_product,
     scheme2_weak_product,
+    tensor_pointers,
     weak_strong_product,
 )
 from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
+# The most complex amplitudes a config may ask a route to hold in one array:
+# dim^2 for rho, and branches x dim x points^P for a joint state whose tensor
+# carries P pointers (protocols.tensor_pointers), the branches bounded by the
+# state's rank.  2^24 amplitudes are 256 MiB, and a coupling holds a few such
+# arrays at once.  Larger values used to allocate until the process was killed.
+MAX_AMPLITUDES = 2**24
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
 # The first three columns are text; every later one is a float or empty.
 CSV_COLUMNS = (
@@ -263,6 +271,8 @@ def _resolve_preset(name: str, dim: int | None, field: str):
 
 
 def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
+    """(system, dim, label, branches): branches bounds the joint state's
+    branch count, the rank of rho (dim for a mixed state of unknown rank)."""
     if not isinstance(raw_state, dict):
         raise ConfigError("state: must be a mapping")
     keys = [k for k in ("preset", "amps", "density", "random") if k in raw_state]
@@ -275,7 +285,7 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
     spec = raw_state[kind]
     if kind == "preset":
         system, dim = _resolve_preset(spec, dim, "state.preset")
-        return system, dim, str(spec)
+        return system, dim, str(spec), 1 if isinstance(system, StateVector) else dim
     if kind in ("amps", "density") and not isinstance(spec, list):
         raise ConfigError(f"state.{kind}: expected a list, got {spec!r}")
     if kind == "amps":
@@ -285,7 +295,7 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
         if dim is not None and amps.size != dim:
             raise ConfigError(f"state.amps: length {amps.size} does not match dim {dim}")
         try:
-            return StateVector(amps), amps.size, "explicit-pure"
+            return StateVector(amps), amps.size, "explicit-pure", 1
         except ValueError as exc:
             raise ConfigError(f"state.amps: {exc}") from exc
     if kind == "density":
@@ -298,7 +308,7 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
                 f"state.density: shape {mat.shape} does not match dim {dim}"
             )
         try:
-            return DensityMatrix(mat), mat.shape[0], "explicit-density"
+            return DensityMatrix(mat), mat.shape[0], "explicit-density", mat.shape[0]
         except ValueError as exc:
             raise ConfigError(f"state.density: {exc}") from exc
     if not isinstance(spec, dict):
@@ -311,12 +321,12 @@ def _resolve_state(raw_state, dim: int | None, default_seed: int | None):
     seed = _seed(seed, "state.random.seed")
     rank = spec.get("rank")
     if rank is None:
-        return random_state(dim, seed), dim, f"random(seed={seed})"
+        return random_state(dim, seed), dim, f"random(seed={seed})", 1
     rank = _number(rank, int, "state.random.rank")
     if not 1 <= rank <= dim:
         raise ConfigError(f"state.random.rank: must lie in [1, {dim}], got {rank}")
     system = random_density(dim, seed, rank)
-    return system, dim, f"random(seed={seed},rank={rank})"
+    return system, dim, f"random(seed={seed},rank={rank})", rank
 
 
 def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
@@ -337,7 +347,6 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
             raise ConfigError(f"dim: must be >= 2, got {dim}")
     if "state" not in raw:
         raise ConfigError("state: required")
-    system, dim, state_label = _resolve_state(raw["state"], dim, default_seed)
 
     protocol = raw.get("protocol")
     if protocol not in PROTOCOLS:
@@ -348,8 +357,6 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     if (protocol, scheme) not in ROUTE_POINTERS:
         schemes = ", ".join(s for p, s in ROUTE_POINTERS if p == protocol)
         raise ConfigError(f"scheme: protocol {protocol} supports {schemes} only")
-    if protocol == "wavefunction" and not isinstance(system, StateVector):
-        raise ConfigError("state: protocol wavefunction requires a pure state")
 
     sweep = raw.get("sweep", list(DEFAULT_SWEEP))
     if not isinstance(sweep, (list, tuple)) or not sweep:
@@ -373,9 +380,42 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
                 raise ConfigError(f"pointer.{key}: must be positive, got {sizes[key]}")
     params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sizes["sigma"],
                             grid_points=sizes.get("points"), half_width=sizes.get("half_width"))
+
+    route_pointers = ROUTE_POINTERS[protocol, scheme]
+    points = params.points(route_pointers)
+    default_points = replace(params, grid_points=None).points(route_pointers)
+    pointers = tensor_pointers(protocol, scheme)
+
+    def check_amplitudes(branches: int, rank_field: str | None) -> None:
+        """ConfigError naming the field that takes the largest array the
+        route would allocate past MAX_AMPLITUDES."""
+        def amplitudes(b: int, m: int) -> int:
+            return max(dim * dim, b * dim * m**pointers)
+
+        if amplitudes(branches, points) <= MAX_AMPLITUDES:
+            return
+        if rank_field and amplitudes(1, points) <= MAX_AMPLITUDES:
+            field = rank_field
+        elif points != default_points and amplitudes(branches, default_points) <= MAX_AMPLITUDES:
+            field = "pointer.points"
+        else:
+            field = "dim" if "dim" in raw else "state"
+        raise ConfigError(
+            f"{field}: the {protocol}/{scheme} route would hold {branches} x {dim}"
+            f" x {points}^{pointers} (branches x dim x pointer cells) or {dim}^2"
+            f" amplitudes in one array, above MAX_AMPLITUDES = 2^24"
+        )
+
+    if dim is not None:
+        # before the state: a random or maximally mixed state allocates dim^2
+        check_amplitudes(1, None)
+    system, dim, state_label, branches = _resolve_state(raw["state"], dim, default_seed)
+    check_amplitudes(branches, "state.random.rank" if "random" in raw["state"] else None)
+    if protocol == "wavefunction" and not isinstance(system, StateVector):
+        raise ConfigError("state: protocol wavefunction requires a pure state")
     try:
-        gaussian_pointer(params.grid(ROUTE_POINTERS[protocol, scheme]), params.sigma)
-    except ValueError as exc:
+        gaussian_pointer(params.grid(route_pointers), params.sigma)
+    except (ValueError, OverflowError) as exc:  # sigma**2 overflows past 1e154
         raise ConfigError(f"pointer: {exc}") from exc
 
     b0_label = str(raw.get("b0", "fourier-0"))
@@ -384,6 +424,8 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         # The checks the routes themselves run on b0.
         if protocol == "wavefunction":
             _require_unbiased_b0(b0)
+            # the oracle's own test: it divides by <b0|psi>
+            weak_value_pure(np.eye(dim), system, b0)
         elif protocol == "density":
             _require_uniform_b0(b0)
     except ValueError as exc:

@@ -28,6 +28,12 @@ ket c at once, and the unconditioned moment is Tr G.  A costs one FFT pair
 along each pointer axis it acts on; no conditioned state is built.  This is
 the complex weak-value readout <Q> + i<K> of Jozsa, PRA 76, 044103 (2007).
 
+A pointer that is coupled last and read only by the final moment need not
+be a tensor axis: last_pointer_moments reads <A a> from G_A and a table
+x(lambda) = <T_{gt lambda} phi| a |T_{gt lambda} phi> over the eigenvalues
+of the last observable, one 1-d FFT pair per eigenvalue, since the last
+coupling then acts as a strong measurement in that observable's eigenbasis.
+
 Accumulated worst-case displacements are tracked per pointer and capped at a
 quarter of the grid extent in the relevant representation, keeping spectral
 wrap-around below Gaussian tail level.
@@ -153,15 +159,30 @@ class CouplingSpec:
         return self.g * self.t
 
 
-def _range_eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero eigenvalues of a Hermitian op and their eigenvectors (columns)."""
+def _eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a Hermitian op and its eigenvectors (columns)."""
     m = op.matrix
     lam, vecs = np.linalg.eigh(m)
     # projectors get their exact {0, 1} spectrum back
     if np.max(np.abs(m @ m - m)) <= HERMITIAN_TOL:
         lam = np.where(lam > 0.5, 1.0, 0.0)
+    return lam, vecs
+
+
+def _range_eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero eigenvalues of a Hermitian op and their eigenvectors (columns)."""
+    lam, vecs = _eigs(op)
     keep = lam != 0.0
     return lam[keep], vecs[:, keep]
+
+
+def _check_shift(shift: float, grid: PointerGrid) -> None:
+    """Wrap guard of a momentum coupling: accumulated shift <= L/4."""
+    limit = grid.half_width / 4
+    if shift > limit:
+        raise WrapAroundError(
+            f"accumulated pointer shift {shift:.3g} exceeds guard {limit:.3g}"
+        )
 
 
 def _couple_on_range(joint: JointState, vecs: np.ndarray, phase: np.ndarray,
@@ -243,11 +264,7 @@ def apply_coupling(joint: JointState, spec: CouplingSpec) -> JointState:
     k_shifts = list(joint.k_shifts)
     if spec.variable == "K":
         q_shifts[idx] += reach
-        limit = grid.half_width / 4
-        if q_shifts[idx] > limit:
-            raise WrapAroundError(
-                f"accumulated pointer shift {q_shifts[idx]:.3g} exceeds guard {limit:.3g}"
-            )
+        _check_shift(q_shifts[idx], grid)
     else:
         k_shifts[idx] += reach
         limit = np.pi / grid.dq / 4
@@ -535,6 +552,51 @@ def joint_ann_moment(joint: JointState, idx1: int, idx2: int, *more: int) -> com
         raise ValueError(f"pointer indices must be distinct, got {indices}")
     (moment,) = system_moments(joint, dict.fromkeys(indices, "a"))
     return complex(np.trace(moment))
+
+
+def last_pointer_moments(joint: JointState, operator: Mapping[int, str],
+                         observables: Sequence[OperatorMatrix], gt: float,
+                         grid: PointerGrid, sigma: float) -> np.ndarray:
+    """<A a> with a on one more pointer, coupled last and read from a table.
+
+    For each Hermitian observable O: the trace of system_moments for A times
+    a on a fresh Gaussian pointer (grid, sigma) appended to joint after
+    apply_coupling(CouplingSpec(O, <that pointer>, gt, 1.0)), computed
+    without that pointer's axis.  The coupling is the last operation on the
+    state and only this moment reads the pointer, so with (lambda_c, v_c)
+    the full eigenbasis of O the coupled state is
+    sum_c (v_c v_c^dag psi) (x) T_{gt lambda_c} phi, the cross terms vanish
+    in the trace over the system, and
+
+        <A a> = sum_c x(lambda_c) v_c^T G_A conj(v_c),
+
+    G_A = system_moments(joint, A), x(lambda) = <T phi| a |T phi> on the
+    same grid, Gaussian and spectral translation (one FFT pair per
+    eigenvalue).  The last factor acts as a strong measurement of O, each
+    outcome weighted by its displaced pointer's moment.  Same wrap guard and
+    message as apply_coupling on a fresh pointer.  Returns one moment per
+    observable.
+    """
+    spectra = []
+    for obs in observables:
+        if obs.dim != joint.dim:
+            raise ValueError("observable dimension does not match the system")
+        m = obs.matrix
+        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+            raise ValueError("coupling observable not Hermitian")
+        lam, vecs = _eigs(obs)
+        _check_shift(abs(gt) * float(np.max(np.abs(lam), initial=0.0)), grid)
+        spectra.append((lam, vecs))
+    (gram,) = system_moments(joint, operator)
+    phi_hat = np.fft.fft(gaussian_pointer(grid, sigma).amps)
+    out = np.empty(len(spectra), dtype=complex)
+    for i, (lam, vecs) in enumerate(spectra):
+        shifted = np.fft.ifft(phi_hat * np.exp(-1j * gt * np.outer(lam, grid.wavenumbers)),
+                              axis=1)
+        read = _apply_pointer_variable(shifted, grid, sigma, 1, "a")
+        table = np.sum(shifted.conj() * read, axis=1) * grid.dq
+        out[i] = table @ np.einsum("sc,st,tc->c", vecs, gram, vecs.conj())
+    return out
 
 
 def weak_value_from_moments(qf: float, kf: float, g: float, t: float, sigma: float) -> complex:

@@ -19,7 +19,13 @@ Scheme 1 readout constant: the product moment obeys
 <a1 a2>_f = (g1 t/(2 sigma1)) (g2 t/(2 sigma2)) Tr[EF rho] + O((gt)^2),
 so the calibration constant is kappa = (2 sigma1/(g1 t)) (2 sigma2/(g2 t));
 calibrate_scheme1 re-derives this numerically on an eigenstate case where
-the relation is exact at any coupling.
+the relation is exact at any coupling.  The last factor of a Scheme 1 chain
+is coupled last and read only by the product moment, so its pointer is not
+a tensor axis: the moment is sum_c x(lambda_c) v_c^T G conj(v_c) over the
+eigenbasis (lambda_c, v_c) of that factor, with G the system-resolved moment
+of the other pointers and x(lambda) the displaced pointer's <a>
+(evolution.last_pointer_moments).  A product's tensor holds one pointer and
+the density route's two; the numbers are the full tensor's to rounding.
 
 Scheme 2 conventions, fixed numerically against closed-form values on
 random states: with U_D = exp(-i g2 E K2 Q1 t) exp(-i g_D F D1 t),
@@ -47,7 +53,7 @@ from .evolution import (
     PostselectionError,
     apply_conditional_coupling,
     apply_coupling,
-    joint_ann_moment,
+    last_pointer_moments,
     make_joint,
     pointer_moments,
     postselected_moments,
@@ -71,8 +77,9 @@ from .pointer import PointerGrid
 DEFAULT_SWEEP = (0.08, 0.04, 0.02, 0.01)
 DEFAULT_GRID_POINTS = {1: 512, 2: 256, 3: 64}
 SCHEMES = ("substitution", "scheme1", "scheme2")
-# Pointers each (protocol, scheme) route couples.  Density via scheme2 is
-# refused (see direct_density), so it has no entry.
+# Pointers each (protocol, scheme) route couples; its grid is
+# ProtocolParams.grid of that count.  Density via scheme2 is refused (see
+# direct_density), so it has no entry.
 ROUTE_POINTERS = {
     ("wavefunction", "substitution"): 1,
     ("dirac", "substitution"): 1,
@@ -86,13 +93,23 @@ ROUTE_POINTERS = {
 }
 
 
+def tensor_pointers(protocol: str, scheme: str) -> int:
+    """Pointers a route's joint tensors carry: the Scheme 1 routes read
+    their last pointer from a table (last_pointer_moments), one fewer."""
+    return ROUTE_POINTERS[protocol, scheme] - (scheme == "scheme1")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Coupling strengths and pointer discretization for one protocol run.
 
     gt is the first (or only) coupling product g*t; gt2/gt3 default to gt.
-    Grid size defaults depend on how many pointers the route needs (512 for
-    one, 256 for two, 64 for three) and the half-width defaults to 16 sigma.
+    Grid size defaults depend on how many pointers the route couples (512
+    for one, 256 for two, 64 for three) and the half-width defaults to 16
+    sigma.  The 64-point default was set when the three-pointer route (the
+    Scheme 1 density) carried a 64^3 tensor; it now carries a 64^2 tensor
+    plus a 64-point table for its last pointer (last_pointer_moments), and
+    keeps the grid so its numbers stay those of the full tensor.
     """
 
     gt: float = 0.02
@@ -123,14 +140,15 @@ class ProtocolParams:
             out.append(self.gt if extras[i] is None else extras[i])
         return tuple(out[:n])
 
-    def grid(self, pointers: int) -> PointerGrid:
+    def points(self, pointers: int) -> int:
+        """Grid size of a route that couples this many pointers."""
         if pointers not in DEFAULT_GRID_POINTS:
             raise ValueError(f"supported pointer counts are 1..3, got {pointers}")
-        points = self.grid_points
-        if points is None:
-            points = DEFAULT_GRID_POINTS[pointers]
+        return DEFAULT_GRID_POINTS[pointers] if self.grid_points is None else self.grid_points
+
+    def grid(self, pointers: int) -> PointerGrid:
         half_width = 16.0 * self.sigma if self.half_width is None else self.half_width
-        return PointerGrid(points, half_width)
+        return PointerGrid(self.points(pointers), half_width)
 
 
 @dataclass(frozen=True)
@@ -203,25 +221,29 @@ def _require_unbiased_b0(b0: StateVector) -> None:
 
 
 def _weak_readouts(system, chains: Iterable[Sequence[OperatorMatrix]],
-                   params: ProtocolParams, readout) -> Iterator:
+                   params: ProtocolParams, pointers: int, readout) -> Iterator:
     """Yield readout(joint) for each chain of ops, where joint is system (x)
-    one Gaussian pointer per op after coupling op j to pointer j's momentum
-    with params.couplings(len(ops))[j], first to last.
+    one Gaussian pointer per op on params.grid(pointers), the grid of a
+    route that couples that many pointers, after coupling op j to pointer
+    j's momentum with params.couplings(len(ops))[j], first to last.
 
     Only this generator holds the joint states, and each is released when
     the next chain's product state has been built, as in a plain loop over
     settings.  Releasing it before that let the allocator hand its pages
     back and fault them in again (5-10% slower on the density routes);
     holding it through the next chain's couplings costs a third state of
-    peak memory.  A fresh grid per chain likewise cost page faults.
+    peak memory.  A fresh grid per chain likewise cost page faults, and so
+    did a grid built before the generator starts rather than right before
+    the first joint state (3-5% on the CLI density run, 6 MB lower peak
+    memory): one grid, built here, serves every chain.
     """
-    grids = {}  # one grid per pointer count, shared by every joint state
+    grid = None
     for ops in chains:
         n_ptr = len(ops)
         gts = params.couplings(n_ptr)
-        if n_ptr not in grids:
-            grids[n_ptr] = params.grid(n_ptr)
-        joint = make_joint(system, [(grids[n_ptr], params.sigma)] * n_ptr)
+        if grid is None:
+            grid = params.grid(pointers)
+        joint = make_joint(system, [(grid, params.sigma)] * n_ptr)
         for j, op in enumerate(ops):
             joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
         yield readout(joint)
@@ -283,6 +305,7 @@ def direct_wavefunction(
     probs = np.empty(n)
     reads = _weak_readouts(
         psi, ([projector(standard_ket(n, a))] for a in range(n)), params,
+        ROUTE_POINTERS["wavefunction", "substitution"],
         lambda joint: postselected_moments(joint, b0, {0: "Q"}, {0: "K"}),
     )
     for a, (prob, (qf, kf)) in enumerate(reads):
@@ -329,15 +352,20 @@ def scheme1_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
 
     Applies exp(-i g2 E K2 t) exp(-i g1 F K1 t) and reads
     kappa * <a1 a2>_f with kappa = (2 sigma/(g1 t)) (2 sigma/(g2 t)).
-    Complex output is expected whenever EF is not Hermitian.
+    Pointer 2 is read from a table (last_pointer_moments), so the tensor
+    holds pointer 1 only.  Complex output is expected whenever EF is not
+    Hermitian.
     """
     params = params or ProtocolParams()
     system, _ = as_system(system)
     gt1, gt2 = params.couplings(2)
     sigma = params.sigma
     _warn_if_strong(gt1 * gt2, sigma)
+    # pointer 2 shares the route grid with pointer 1
     [moment] = _weak_readouts(
-        system, [[f_op, e_op]], params, lambda joint: joint_ann_moment(joint, 0, 1)
+        system, [[f_op]], params, ROUTE_POINTERS["product", "scheme1"],
+        lambda joint: last_pointer_moments(
+            joint, {0: "a"}, [e_op], gt2, joint.grids[0], sigma)[0],
     )
     return _kappa((gt1, gt2), sigma) * moment
 
@@ -398,7 +426,8 @@ def weak_strong_product(
     gts = params.couplings(n_ptr)
     operators = ({0: "Q"}, {0: "K"}) if n_ptr == 1 else (dict.fromkeys(range(n_ptr), "a"),)
     [(probs, *moments)] = _weak_readouts(
-        system, [chain], params, lambda joint: strong_readout(joint, list(basis), *operators)
+        system, [chain], params, n_ptr,
+        lambda joint: strong_readout(joint, list(basis), *operators),
     )
     if n_ptr == 1:
         pq, pk = moments
@@ -432,6 +461,7 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
         probs = np.empty((n, n))
         reads = _weak_readouts(
             system, ([projector(standard_ket(n, a))] for a in range(n)), params,
+            ROUTE_POINTERS["dirac", "substitution"],
             lambda joint: strong_readout(joint, f_basis, {0: "Q"}, {0: "K"}),
         )
         for a, (probs[a], pq, pk) in enumerate(reads):
@@ -461,8 +491,10 @@ def direct_density(rho, b0: StateVector | None = None,
     standard-basis readout supplies a2, and P(a2) times the conditioned
     product signal estimates <Pi_{a1 a2}> = <a1|rho|a2>/N.  scheme1 instead
     couples all three projectors to their own pointers and reads the triple
-    moment without any strong measurement.  scheme2 is refused: conditioning
-    its readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see module docstring).
+    moment without any strong measurement; per a1 one two-pointer state and
+    one system-resolved moment serve every a2, whose pointer is read from a
+    table (last_pointer_moments).  scheme2 is refused: conditioning its
+    readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see module docstring).
     """
     params = params or ProtocolParams()
     system, r = as_system(rho)
@@ -485,6 +517,7 @@ def direct_density(rho, b0: StateVector | None = None,
         probs = np.empty((n, n))
         reads = _weak_readouts(
             system, ([projector(standard_ket(n, a1)), e_op] for a1 in range(n)), params,
+            ROUTE_POINTERS["density", "substitution"],
             lambda joint: strong_readout(joint, s_basis, {0: "a", 1: "a"}),
         )
         for a1, (probs[a1], moments) in enumerate(reads):
@@ -495,15 +528,16 @@ def direct_density(rho, b0: StateVector | None = None,
     else:
         gts = params.couplings(3)
         kappa = _kappa(gts, params.sigma)
-        chains = (
-            [projector(standard_ket(n, a1)), e_op, projector(standard_ket(n, a2))]
-            for a1, a2 in np.ndindex(n, n)
+        a2_ops = [projector(ket) for ket in standard_basis(n)]
+        # the a2 pointer shares the route grid with the a1 and b0 pointers
+        reads = _weak_readouts(
+            system, ([projector(standard_ket(n, a1)), e_op] for a1 in range(n)), params,
+            ROUTE_POINTERS["density", "scheme1"],
+            lambda joint: last_pointer_moments(
+                joint, {0: "a", 1: "a"}, a2_ops, gts[2], joint.grids[0], params.sigma),
         )
-        moments = _weak_readouts(
-            system, chains, params, lambda joint: joint_ann_moment(joint, 0, 1, 2)
-        )
-        for (a1, a2), moment in zip(np.ndindex(n, n), moments):
-            raw[a1, a2] = kappa * moment
+        for a1, moments in enumerate(reads):
+            raw[a1] = kappa * moments
         estimates = _estimates(raw, ("a1", "a2"), "scheme1", gts)
     scaled = n * raw
     matrix = hermitize_normalize(scaled)

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from weakmeas.cli import OUT_DIR_ENV, PROTOCOLS, ConfigError, main, resolve_config
+from weakmeas.cli import (
+    MAX_AMPLITUDES,
+    OUT_DIR_ENV,
+    PROTOCOLS,
+    ConfigError,
+    main,
+    resolve_config,
+)
 from weakmeas.hilbert import (
     DensityMatrix,
     fourier_basis,
@@ -15,7 +22,13 @@ from weakmeas.hilbert import (
     standard_ket,
 )
 from weakmeas.oracle import dirac_exact
-from weakmeas.protocols import SCHEMES, ProtocolParams, direct_density
+from weakmeas.protocols import (
+    ROUTE_POINTERS,
+    SCHEMES,
+    ProtocolParams,
+    direct_density,
+    tensor_pointers,
+)
 from weakmeas.sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 
@@ -247,6 +260,45 @@ class TestReport:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_b0_orthogonal_to_the_state_exits_2(self, tmp_path, capsys, command):
+        # run used to exit 3 through the oracle call, and oracle to exit 1.
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"dim": 2, "protocol": "wavefunction",
+                            "state": {"preset": "fourier-1"}})
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: b0: post-selection state is orthogonal")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"dim": 1e9}, "dim"),
+        ({"pointer": {"points": 1048576}}, "pointer.points"),
+        ({"dim": 64, "state": {"random": {"seed": 1, "rank": 64}}}, "state.random.rank"),
+        ({"dim": None, "state": {"amps": [1.0] + [0.0] * 4096}}, "state"),
+    ])
+    def test_allocation_ceiling_names_the_field(self, tmp_path, capsys, edit, field):
+        config = {"dim": 4, "protocol": "density",
+                  "state": {"random": {"seed": 1, "rank": 2}}, **edit}
+        if config["dim"] is None:
+            del config["dim"]
+            config["protocol"] = "wavefunction"
+        cfg = write_config(tmp_path / "cfg.yaml", config)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ")
+        assert "MAX_AMPLITUDES" in err
+
+    def test_allocation_ceiling_counts_the_tensor_pointers(self):
+        # Scheme 1 density holds 64^2 pointer cells per branch, not 64^3.
+        config = {"dim": 64, "protocol": "density", "scheme": "scheme1",
+                  "state": {"random": {"seed": 1, "rank": 64}}}
+        assert 64 * 64 * 64**2 == MAX_AMPLITUDES
+        assert resolve_config(config).dim == 64
+        with pytest.raises(ConfigError, match="^state.random.rank: "):
+            resolve_config({**config, "scheme": "substitution"})
+
     def test_rank_out_of_range_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml",
                            {"dim": 2, "protocol": "density",
@@ -380,19 +432,21 @@ class TestConfigErrors:
 
 
 class TestAborts:
-    def test_orthogonal_postselection_exits_3(self, tmp_path, capsys):
+    def test_wraparound_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml",
-                           {"dim": 2, "protocol": "wavefunction",
-                            "state": {"preset": "fourier-1"}})
+                           {"dim": 2, "protocol": "density", "sweep": [5.0],
+                            "state": {"random": {"seed": 1, "rank": 2}}})
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
-        assert "protocol abort" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "protocol abort" in err and "exceeds guard" in err
 
 
 # Values of mixed types, and a sensible value for each field of the schema.
 JUNK = st.one_of(
-    # Numbers stay small: dim and pointer.points size the arrays that
-    # resolve_config allocates.
-    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-1e3, 1e3),
+    # Numbers reach past the allocation ceiling (MAX_AMPLITUDES), which
+    # resolve_config must enforce before it allocates anything that large.
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-1e12, 1e12),
+    st.sampled_from([2**12 + 1, 2**20, 10**9, 2**40, 1e300]),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.text(max_size=3),
     st.lists(st.integers(-1, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.none()),
 )
@@ -460,6 +514,10 @@ def test_resolve_config_resolves_or_names_the_field(raw):
         return
     assert scenario.protocol in PROTOCOLS
     assert scenario.rho.shape == (scenario.dim, scenario.dim)
+    branches = np.count_nonzero(np.linalg.eigvalsh(scenario.rho) > 1e-12)
+    points = scenario.params.points(ROUTE_POINTERS[scenario.protocol, scenario.scheme])
+    cells = points ** tensor_pointers(scenario.protocol, scenario.scheme)
+    assert max(scenario.dim**2, branches * scenario.dim * cells) <= MAX_AMPLITUDES
 
 
 class TestCalibrateAndOracle:

@@ -10,6 +10,7 @@ from weakmeas.evolution import (
     apply_conditional_coupling,
     apply_coupling,
     joint_ann_moment,
+    last_pointer_moments,
     make_joint,
     pointer_moments,
     postselect,
@@ -413,6 +414,82 @@ class TestRangeCoupling:
         for before, after in zip(joint.branches, coupled.branches):
             assert np.array_equal(before.amps[[0, 2]], after.amps[[0, 2]])
             assert not np.allclose(before.amps[1], after.amps[1])
+
+
+def three_level_observable():
+    """Hermitian, not a projector: diag(0, 1, 2) + 0.3 J."""
+    return OperatorMatrix(np.diag([0.0, 1.0, 2.0]) + 0.3 * np.ones((3, 3)))
+
+
+class TestLastPointerMoments:
+    GRID = PointerGrid(64, 16.0)
+    SIGMA = 1.25
+
+    def chain(self, system, pointers, last=None, gt=0.4):
+        """system (x) Gaussians, projector j coupled to pointer j, then
+        last (if given) coupled to one more pointer with gt."""
+        extra = 0 if last is None else 1
+        joint = make_joint(system, [(self.GRID, self.SIGMA)] * (pointers + extra))
+        for j in range(pointers):
+            spec = CouplingSpec(projector(random_state(3, 20 + j)), j, 0.3 + 0.1 * j, 1.0)
+            joint = apply_coupling(joint, spec)
+        if last is not None:
+            joint = apply_coupling(joint, CouplingSpec(last, pointers, gt, 1.0))
+        return joint
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("kind", ["projector", "observable"])
+    @pytest.mark.parametrize("pointers", [0, 1, 2])
+    def test_matches_the_full_tensor(self, pointers, kind, rank):
+        system = random_state(3, 11) if rank == 1 else random_density(3, 11, 2)
+        op = projector(random_state(3, 7)) if kind == "projector" else three_level_observable()
+        operator = dict.fromkeys(range(pointers), "a")
+        full = self.chain(system, pointers, last=op)
+        (moment,) = system_moments(full, {**operator, pointers: "a"})
+        expected = np.trace(moment)
+        assert abs(expected) > 1e-6
+        if pointers:
+            assert abs(joint_ann_moment(full, *range(pointers + 1)) - expected) < 1e-14
+        (got,) = last_pointer_moments(
+            self.chain(system, pointers), operator, [op], 0.4, self.GRID, self.SIGMA
+        )
+        assert abs(got - expected) < 1e-14
+
+    def test_one_moment_per_observable(self):
+        system = random_density(3, 11, 2)
+        ops = [projector(k) for k in standard_basis(3)] + [three_level_observable()]
+        joint = self.chain(system, 2)
+        got = last_pointer_moments(joint, {0: "a", 1: "Q"}, ops, 0.4, self.GRID, self.SIGMA)
+        for op, value in zip(ops, got):
+            (moment,) = system_moments(self.chain(system, 2, last=op), {0: "a", 1: "Q", 2: "a"})
+            assert abs(value - np.trace(moment)) < 1e-14
+
+    @pytest.mark.parametrize("gt", [1.5, 2.1, 3.9, 4.1, -4.1])
+    @pytest.mark.parametrize("kind", ["projector", "observable"])
+    def test_wrap_guard_fires_where_apply_coupling_does(self, kind, gt):
+        op = projector(random_state(3, 7)) if kind == "projector" else three_level_observable()
+        system = random_state(3, 11)
+        errors = []
+        for run in (
+            lambda: self.chain(system, 1, last=op, gt=gt),
+            lambda: last_pointer_moments(self.chain(system, 1), {0: "a"}, [op], gt,
+                                         self.GRID, self.SIGMA),
+        ):
+            try:
+                run()
+                errors.append(None)
+            except WrapAroundError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert (errors[0] is None) == (abs(gt) * np.max(np.abs(np.linalg.eigvalsh(op.matrix))) <= 4)
+
+    def test_rejects_mismatched_and_non_hermitian_observables(self):
+        joint = self.chain(random_state(3, 11), 1)
+        with pytest.raises(ValueError, match="dimension"):
+            last_pointer_moments(joint, {}, [PI0], 0.1, self.GRID, self.SIGMA)
+        skew = OperatorMatrix(np.triu(np.ones((3, 3))))
+        with pytest.raises(ValueError, match="Hermitian"):
+            last_pointer_moments(joint, {}, [skew], 0.1, self.GRID, self.SIGMA)
 
 
 class TestWeakValueFromMoments:

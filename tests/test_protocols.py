@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from weakmeas.evolution import PostselectionError
+from weakmeas.evolution import (
+    CouplingSpec,
+    PostselectionError,
+    apply_coupling,
+    joint_ann_moment,
+    make_joint,
+)
 from weakmeas.hilbert import (
     DensityMatrix,
     StateVector,
@@ -13,6 +21,7 @@ from weakmeas.hilbert import (
     random_density,
     random_state,
     s_ab_operator,
+    standard_basis,
     standard_ket,
     trace_distance,
 )
@@ -21,6 +30,7 @@ from weakmeas import protocols
 from weakmeas.protocols import (
     ROUTE_POINTERS,
     ProtocolParams,
+    _kappa,
     calibrate_scheme1,
     convergence_slope,
     dirac_to_density,
@@ -33,6 +43,7 @@ from weakmeas.protocols import (
     mixed_state_response,
     scheme1_weak_product,
     scheme2_weak_product,
+    tensor_pointers,
     weak_strong_product,
 )
 
@@ -432,8 +443,44 @@ def test_sab_weak_average_matches_scheme1():
     assert value == pytest.approx(oracle, abs=5e-4)
 
 
-class _Built(Exception):
-    pass
+def full_tensor_product(system, ops, params):
+    """kappa <a_1 ... a_P> with every op coupled to its own pointer of one
+    joint tensor on the route's grid, read by joint_ann_moment."""
+    gts = params.couplings(len(ops))
+    grid = params.grid(len(ops))
+    joint = make_joint(system, [(grid, params.sigma)] * len(ops))
+    for j, op in enumerate(ops):
+        joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
+    return _kappa(gts, params.sigma) * joint_ann_moment(joint, *range(len(ops)))
+
+
+class TestScheme1FullTensor:
+    """The Scheme 1 routes read their last pointer from a table; their
+    numbers are those of the full tensor."""
+
+    PARAMS = ProtocolParams(gt=0.05, gt2=0.03, gt3=0.04, sigma=1.25, grid_points=32,
+                            scheme="scheme1")
+
+    def test_density_raw(self):
+        rho = random_density(2, 5, 2)
+        out = direct_density(rho, params=self.PARAMS)
+        kets = standard_basis(2)
+        e_op = projector(fourier_ket(2, 0))
+        expected = np.array([
+            [full_tensor_product(rho, [projector(k1), e_op, projector(k2)], self.PARAMS)
+             for k2 in kets]
+            for k1 in kets
+        ])
+        kappa = _kappa(self.PARAMS.couplings(3), self.PARAMS.sigma)
+        assert_allclose(out.raw, expected, rtol=0, atol=1e-17 * kappa)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_weak_product(self, rank):
+        system = random_state(3, 6) if rank == 1 else random_density(3, 6, 2)
+        e_op, f_op = projector(fourier_ket(3, 1)), projector(random_state(3, 8))
+        params = replace(self.PARAMS, grid_points=None)
+        value = scheme1_weak_product(system, e_op, f_op, params)
+        assert abs(value - full_tensor_product(system, [f_op, e_op], params)) < 1e-12
 
 
 def _call_route(protocol, scheme):
@@ -453,13 +500,28 @@ def _call_route(protocol, scheme):
 
 @pytest.mark.parametrize("protocol, scheme", sorted(ROUTE_POINTERS))
 def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol, scheme):
-    built = []
+    """Every chain a route runs couples ROUTE_POINTERS pointers, all on the
+    grid of that count: tensor_pointers of them in the joint state, the rest
+    (one on the Scheme 1 routes) read from a table."""
+    chains = []  # [tensor pointers, table pointers, grids] per joint state built
+    make_joint, table = protocols.make_joint, protocols.last_pointer_moments
 
-    def record(system, pointers):
-        built.append(len(pointers))
-        raise _Built
+    def record_joint(system, pointers):
+        chains.append([len(pointers), 0, {grid for grid, _ in pointers}])
+        return make_joint(system, pointers)
 
-    monkeypatch.setattr(protocols, "make_joint", record)
-    with pytest.raises(_Built):
-        _call_route(protocol, scheme)
-    assert built == [ROUTE_POINTERS[protocol, scheme]]
+    def record_table(joint, operator, observables, gt, grid, sigma):
+        chains[-1][1] += 1
+        chains[-1][2].add(grid)
+        return table(joint, operator, observables, gt, grid, sigma)
+
+    monkeypatch.setattr(protocols, "make_joint", record_joint)
+    monkeypatch.setattr(protocols, "last_pointer_moments", record_table)
+    _call_route(protocol, scheme)
+    pointers = ROUTE_POINTERS[protocol, scheme]
+    grid = ProtocolParams().grid(pointers)
+    assert chains
+    for tensor, table_read, grids in chains:
+        assert tensor == tensor_pointers(protocol, scheme)
+        assert tensor + table_read == pointers
+        assert grids == {grid}
