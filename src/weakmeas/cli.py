@@ -63,7 +63,7 @@ from .hilbert import (
     trace_distance,
 )
 from .oracle import dirac_exact, weak_average, weak_value_pure
-from .pointer import HBAR, WrapAroundError, gaussian_pointer
+from .pointer import HBAR, WrapAroundError, check_sigma, gaussian_pointer
 from .protocols import (
     DEFAULT_SWEEP,
     ROUTE_POINTERS,
@@ -89,10 +89,17 @@ from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
 # The most complex amplitudes a config may ask a route to hold in one array:
-# dim^2 for rho, and branches x dim x points^P for a joint state whose tensor
-# carries P pointers (protocols.tensor_pointers), the branches bounded by the
-# state's rank.  2^24 amplitudes are 256 MiB, and a coupling holds a few such
-# arrays at once.  Larger values used to allocate until the process was killed.
+# dim^2 for rho; branches x dim x cells for the route's per-branch state,
+# the branches bounded by the state's rank; and 2 x points for the two
+# displaced pointers of a projector's table.  The cells per branch and
+# system row are points^P for the JointState of a route whose tensor carries
+# P pointers (protocols.tensor_pointers, Scheme 2 only), points for the
+# per-outcome pointer laws of a sampled run, and otherwise the 2^P eigenvalue
+# patterns of a chain of P projectors read from tables.  A sampled run
+# draws 2 x shots floats, the bytes of shots amplitudes, so shots is capped
+# at the same number.  2^24 amplitudes are 256 MiB, and a route holds a few
+# such arrays at once.  Larger values used to allocate until the process was
+# killed.
 MAX_AMPLITUDES = 2**24
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
 # The first three columns are text; every later one is a float or empty.
@@ -378,6 +385,10 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
             sizes[key] = _number(sizes[key], kind, f"pointer.{key}")
             if sizes[key] <= 0:
                 raise ConfigError(f"pointer.{key}: must be positive, got {sizes[key]}")
+    try:
+        check_sigma(sizes["sigma"])
+    except ValueError as exc:
+        raise ConfigError(f"pointer.sigma: {exc}") from None
     params = ProtocolParams(gt=sweep[0], scheme=scheme, sigma=sizes["sigma"],
                             grid_points=sizes.get("points"), half_width=sizes.get("half_width"))
 
@@ -385,12 +396,14 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     points = params.points(route_pointers)
     default_points = replace(params, grid_points=None).points(route_pointers)
     pointers = tensor_pointers(protocol, scheme)
+    sampled = raw.get("sampling") is not None
 
     def check_amplitudes(branches: int, rank_field: str | None) -> None:
         """ConfigError naming the field that takes the largest array the
         route would allocate past MAX_AMPLITUDES."""
         def amplitudes(b: int, m: int) -> int:
-            return max(dim * dim, b * dim * m**pointers)
+            cells = m**pointers if pointers else m if sampled else 2**route_pointers
+            return max(dim * dim, b * dim * cells, 2 * m)
 
         if amplitudes(branches, points) <= MAX_AMPLITUDES:
             return
@@ -401,9 +414,10 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         else:
             field = "dim" if "dim" in raw else "state"
         raise ConfigError(
-            f"{field}: the {protocol}/{scheme} route would hold {branches} x {dim}"
-            f" x {points}^{pointers} (branches x dim x pointer cells) or {dim}^2"
-            f" amplitudes in one array, above MAX_AMPLITUDES = 2^24"
+            f"{field}: the {protocol}/{scheme} route would hold"
+            f" {amplitudes(branches, points)} amplitudes in one array ({dim}^2 for"
+            f" rho, {branches} x {dim} x cells per branch and row, or 2 x {points}"
+            f" pointer cells), above MAX_AMPLITUDES = 2^24"
         )
 
     if dim is not None:
@@ -415,7 +429,7 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         raise ConfigError("state: protocol wavefunction requires a pure state")
     try:
         gaussian_pointer(params.grid(route_pointers), params.sigma)
-    except (ValueError, OverflowError) as exc:  # sigma**2 overflows past 1e154
+    except ValueError as exc:
         raise ConfigError(f"pointer: {exc}") from exc
 
     b0_label = str(raw.get("b0", "fourier-0"))
@@ -457,9 +471,15 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         seed = spec.get("seed", default_seed)
         if seed is None:
             raise ConfigError("sampling.seed: required (or pass --seed)")
+        shots = _number(spec["shots"], int, "sampling.shots")
+        if shots > MAX_AMPLITUDES:
+            raise ConfigError(
+                f"sampling.shots: {shots} shots would draw {2 * shots} floats in one"
+                f" array, above the bytes of MAX_AMPLITUDES = 2^24 amplitudes"
+            )
         try:
             sampling = ShotPlan(
-                shots=_number(spec["shots"], int, "sampling.shots"),
+                shots=shots,
                 seed=_seed(seed, "sampling.seed"),
                 readout_split=_number(
                     spec.get("readout_split", 0.5), float, "sampling.readout_split"

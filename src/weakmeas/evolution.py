@@ -1,38 +1,44 @@
-"""Exact joint evolution of a system coupled to Gaussian pointers.
-
-A JointState is an ensemble of pure branches: mixed system states enter as
-the eigendecomposition of rho (one branch per eigenvector, weighted by the
-eigenvalue), which is exact for every expectation value by linearity of
-Tr[. rho].  Each branch is a complex tensor of shape (N, M_1, ..., M_P),
-axis 0 the system and one axis per pointer.
+"""Exact evolution of a system coupled to Gaussian pointers.
 
 Couplings are the impulsive von Neumann unitaries
 
     exp(-i g A K t)            momentum coupling, translates the pointer,
     exp(-i g A Q t)            position coupling, kicks its momentum,
-    exp(-i g2 E K_dst Q_src t) conditional coupling between two pointers,
+    exp(-i g2 E K_dst Q_src t) conditional coupling between two pointers.
 
-applied on the range of the Hermitian system factor only: with V the
-eigenvectors of nonzero eigenvalue, psi -> psi + V[(T_lambda - 1)(V^dag psi)],
-T_lambda the translation (or kick) for eigenvalue lambda.  A rank-one
-projector therefore transforms 1/N of the tensor.  All operations preserve
-branch norms and return new immutable states.
+Every route but Scheme 2 couples a chain of Hermitian observables
+O_j = sum_lambda lambda V^j_lambda, one momentum-translated pointer each,
+and then reads pointer moments, optionally with a strong outcome or a
+post-selected ket c.  Such a chain leaves
 
-Readout is one system-resolved moment per pointer operator A (a product of
-Q, K or a = Q/(2 sigma) + i sigma K over distinct pointers):
+    sum_{lambda} (V^P_{lambda_P} ... V^1_{lambda_1} psi) (x) T_{gt_1 lambda_1} phi
+                                              (x) ... (x) T_{gt_P lambda_P} phi,
 
-    G[s, s'] = sum_b w_b <psi_b[s]| A |psi_b[s']>,
+a sum over eigenvalue patterns, so every moment of a product A of Q, K or
+a = Q/(2 sigma) + i sigma K over distinct pointers is N x N algebra over
+small per-pointer tables (chain_readout):
 
-so P(c) <A>_c = c^T G conj(c) for every strong outcome or post-selected
-ket c at once, and the unconditioned moment is Tr G.  A costs one FFT pair
-along each pointer axis it acts on; no conditioned state is built.  This is
-the complex weak-value readout <Q> + i<K> of Jozsa, PRA 76, 044103 (2007).
+    P(c) <A>_c = sum_{lambda, mu} prod_j x_j(lambda_j, mu_j)
+                 <c| V^P_{lambda_P} ... V^1_{lambda_1} rho V^1_{mu_1} ... V^P_{mu_P} |c>,
+    x_j(lambda, mu) = <T_{gt_j mu} phi| A_j |T_{gt_j lambda} phi>,
 
-A pointer that is coupled last and read only by the final moment need not
-be a tensor axis: last_pointer_moments reads <A a> from G_A and a table
-x(lambda) = <T_{gt lambda} phi| a |T_{gt lambda} phi> over the eigenvalues
-of the last observable, one 1-d FFT pair per eigenvalue, since the last
-coupling then acts as a strong measurement in that observable's eigenbasis.
+with one displaced pointer per distinct eigenvalue (two for a projector),
+each computed on the route's grid by the same spectral translation the
+tensor coupling uses.  This is the complex weak-value readout <Q> + i<K> of
+Jozsa, PRA 76, 044103 (2007) with the Gaussian overlaps kept, so the numbers
+are those of the full system-pointer tensor to rounding.  The per-outcome
+pointer laws of shot sampling come from the same patterns
+(outcome_pointer_densities).
+
+Scheme 2 couples one pointer to another, which no eigenvalue table
+captures, and still holds a JointState: an ensemble of pure branches, one
+per eigenvector of rho weighted by its eigenvalue, each a complex tensor of
+shape (N, M_1, ..., M_P) with axis 0 the system and one axis per pointer.
+Its couplings act on the range of the Hermitian system factor only: with V
+the eigenvectors of nonzero eigenvalue, psi -> psi + V[(T_lambda - 1)(V^dag
+psi)].  Its readout is one system-resolved moment per pointer operator,
+G[s, s'] = sum_b w_b <psi_b[s]| A |psi_b[s']> (system_moments), one FFT
+pair per factor; the tests use the tensor as the reference for the tables.
 
 Accumulated worst-case displacements are tracked per pointer and capped at a
 quarter of the grid extent in the relevant representation, keeping spectral
@@ -146,17 +152,21 @@ class CouplingSpec:
     def __post_init__(self) -> None:
         if self.variable not in ("K", "Q"):
             raise ValueError(f"variable must be 'K' or 'Q', got {self.variable!r}")
-        m = self.observable.matrix
-        defect = np.max(np.abs(m - m.conj().T))
-        if defect > HERMITIAN_TOL:
-            raise ValueError(
-                f"coupling observable not Hermitian (defect {defect:.2e});"
-                " non-Hermitian products arise from coupling sequences only"
-            )
+        _require_hermitian(self.observable)
 
     @property
     def gt(self) -> float:
         return self.g * self.t
+
+
+def _require_hermitian(op: OperatorMatrix) -> None:
+    m = op.matrix
+    defect = np.max(np.abs(m - m.conj().T))
+    if defect > HERMITIAN_TOL:
+        raise ValueError(
+            f"coupling observable not Hermitian (defect {defect:.2e});"
+            " non-Hermitian products arise from coupling sequences only"
+        )
 
 
 def _eigs(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -219,31 +229,32 @@ def _axis_view(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def make_joint(system, pointers: Sequence[tuple[PointerGrid, float]]) -> JointState:
-    """Assemble system (x) phi_i (x) ... (x) phi_i.
-
-    Mixed systems become one branch per eigenvector of rho; eigenvalues
-    below 1e-12 are dropped and the remaining weights renormalized.
-    """
-    grids = [g for g, _ in pointers]
-    sigmas = [s for _, s in pointers]
-    pointer_amps = [gaussian_pointer(g, s).amps for g, s in pointers]
+def _branches(system) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, kets): a pure state is one branch; a mixed one has one
+    branch per eigenvector of rho, eigenvalues below 1e-12 dropped and the
+    remaining weights renormalized."""
     if isinstance(system, StateVector):
-        vecs = [(1.0, system.amps)]
-    elif isinstance(system, DensityMatrix):
+        return np.ones(1), system.amps[None, :]
+    if isinstance(system, DensityMatrix):
         w, v = np.linalg.eigh(system.matrix)
         keep = w > 1e-12
         w, v = w[keep], v[:, keep]
-        w = w / w.sum()
-        vecs = [(float(wi), v[:, i]) for i, wi in enumerate(w)]
-    else:
-        raise TypeError(f"system must be StateVector or DensityMatrix, got {type(system)}")
+        return w / w.sum(), v.T
+    raise TypeError(f"system must be StateVector or DensityMatrix, got {type(system)}")
+
+
+def make_joint(system, pointers: Sequence[tuple[PointerGrid, float]]) -> JointState:
+    """Assemble system (x) phi_i (x) ... (x) phi_i, one branch per
+    eigenvector of a mixed system (see _branches)."""
+    grids = [g for g, _ in pointers]
+    sigmas = [s for _, s in pointers]
+    pointer_amps = [gaussian_pointer(g, s).amps for g, s in pointers]
     branches = []
-    for weight, vec in vecs:
+    for weight, vec in zip(*_branches(system)):
         amps = vec
         for pa in pointer_amps:
             amps = np.multiply.outer(amps, pa)
-        branches.append(Branch(weight, amps))
+        branches.append(Branch(float(weight), amps))
     return JointState(branches, grids, sigmas)
 
 
@@ -329,34 +340,6 @@ def apply_conditional_coupling(
     return joint._replace_branches(out, q_shifts=tuple(q_shifts))
 
 
-def _project(joint: JointState, c: StateVector) -> tuple[float, JointState | None]:
-    measure = joint.measure
-    projected = []
-    prob = 0.0
-    for weight, amps in joint.branches:
-        cond = np.tensordot(c.amps.conj(), amps, axes=(0, 0))
-        p_branch = float(np.sum(np.abs(cond) ** 2) * measure)
-        prob += weight * p_branch
-        projected.append((weight, p_branch, cond))
-    if prob < 1e-14:
-        return prob, None
-    branches = []
-    for weight, p_branch, cond in projected:
-        mass = weight * p_branch / prob
-        if mass < 1e-15:
-            continue
-        amps = np.multiply.outer(c.amps, cond / np.sqrt(p_branch))
-        branches.append(Branch(mass, amps))
-    total = sum(b.weight for b in branches)
-    branches = [Branch(b.weight / total, b.amps) for b in branches]
-    return prob, joint._replace_branches(branches)
-
-
-def _check_ket_dim(joint: JointState, c: StateVector) -> None:
-    if c.dim != joint.dim:
-        raise ValueError("post-selection ket dimension mismatch")
-
-
 def _check_postselection(prob: float) -> None:
     if prob < 1e-14:
         raise PostselectionError(
@@ -364,22 +347,8 @@ def _check_postselection(prob: float) -> None:
         )
 
 
-def postselect(joint: JointState, c: StateVector) -> tuple[float, JointState]:
-    """Project the system on |c>, renormalize, and report the probability.
-
-    After projection the system factor is |c> itself; the pointers keep the
-    conditional amplitudes.  The probability equals <c|rho'|c> of the evolved
-    reduced system state.
-    """
-    _check_ket_dim(joint, c)
-    prob, conditioned = _project(joint, c)
-    _check_postselection(prob)
-    return prob, conditioned
-
-
-def _basis_rows(joint: JointState, basis: Sequence[StateVector]) -> np.ndarray:
+def _basis_rows(basis: Sequence[StateVector], dim: int) -> np.ndarray:
     """Rows of a complete orthonormal basis, or ValueError."""
-    dim = joint.dim
     if len(basis) != dim:
         raise ValueError(f"need a complete basis of {dim} kets, got {len(basis)}")
     rows = np.array([b.amps for b in basis])
@@ -394,57 +363,15 @@ def _check_probability_sum(total: float) -> None:
         raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
 
 
-def strong_measure(
-    joint: JointState, basis: Sequence[StateVector]
-) -> list[tuple[int, float, JointState | None]]:
-    """Projective measurement in a complete orthonormal basis.
-
-    Returns one (outcome index, probability, conditioned state) triple per
-    basis ket; the conditioned state is None when the probability is
-    numerically zero.  Probabilities sum to 1 within 1e-10.  Readouts that
-    only need pointer moments per outcome use strong_readout instead.
-    """
-    _basis_rows(joint, basis)
-    results = [(i, *_project(joint, ket)) for i, ket in enumerate(basis)]
-    _check_probability_sum(sum(prob for _, prob, _ in results))
-    return results
-
-
-def reduced_system_density(joint: JointState) -> np.ndarray:
-    """Trace out all pointers; returns the N x N system density matrix."""
-    pointer_axes = list(range(1, joint.num_pointers + 1))
-    rho = np.zeros((joint.dim, joint.dim), dtype=complex)
-    for weight, amps in joint.branches:
-        rho += weight * np.tensordot(amps, amps.conj(), axes=(pointer_axes, pointer_axes))
-    return rho * joint.measure
-
-
-def reduced_position_density(joint: JointState, idx: int) -> np.ndarray:
-    """Probability mass per position cell of pointer idx; sums to 1."""
-    if not 0 <= idx < joint.num_pointers:
-        raise ValueError(f"pointer index {idx} out of range")
-    ax = idx + 1
-    mass = np.zeros(joint.grids[idx].points)
-    for weight, amps in joint.branches:
-        dens = np.abs(amps) ** 2
-        other = tuple(a for a in range(amps.ndim) if a != ax)
-        mass += weight * dens.sum(axis=other)
-    return mass * joint.measure
-
-
-def reduced_momentum_density(joint: JointState, idx: int) -> np.ndarray:
-    """Probability mass per wavenumber cell (FFT order) of pointer idx."""
-    if not 0 <= idx < joint.num_pointers:
-        raise ValueError(f"pointer index {idx} out of range")
-    ax = idx + 1
-    grid = joint.grids[idx]
-    mass = np.zeros(grid.points)
-    for weight, amps in joint.branches:
-        ft = np.fft.fft(amps, axis=ax)
-        dens = np.abs(ft) ** 2
-        other = tuple(a for a in range(amps.ndim) if a != ax)
-        mass += weight * dens.sum(axis=other)
-    return mass * joint.measure / grid.points
+def _check_operators(operators: Sequence[Mapping[int, str]], pointers: int) -> None:
+    for op in operators:
+        for idx, variable in op.items():
+            if not 0 <= idx < pointers:
+                raise ValueError(f"pointer index {idx} out of range")
+            if variable not in POINTER_VARIABLES:
+                raise ValueError(
+                    f"pointer variable must be one of {POINTER_VARIABLES}, got {variable!r}"
+                )
 
 
 def _apply_pointer_variable(amps: np.ndarray, grid: PointerGrid, sigma: float,
@@ -471,14 +398,7 @@ def system_moments(joint: JointState, *operators: Mapping[int, str]) -> np.ndarr
     |psi_b[s']>: Tr G[i] is the joint moment <A_i>, and c^T G[i] conj(c) is
     P(c) <A_i>_c for the conditioned pointers after outcome |c>.
     """
-    for op in operators:
-        for idx, variable in op.items():
-            if not 0 <= idx < joint.num_pointers:
-                raise ValueError(f"pointer index {idx} out of range")
-            if variable not in POINTER_VARIABLES:
-                raise ValueError(
-                    f"pointer variable must be one of {POINTER_VARIABLES}, got {variable!r}"
-                )
+    _check_operators(operators, joint.num_pointers)
     n = joint.dim
     out = np.zeros((len(operators), n, n), dtype=complex)
     for weight, amps in joint.branches:
@@ -496,43 +416,6 @@ def system_moments(joint: JointState, *operators: Mapping[int, str]) -> np.ndarr
             # G[s, s'] = conj(sum_x psi[s, x] conj(A psi)[s', x])
             out[i] += weight * np.conj(kets @ applied.reshape(n, -1).T)
     return out * joint.measure
-
-
-def _outcome_moments(joint: JointState, rows: np.ndarray,
-                     operators: Sequence[Mapping[int, str]]) -> np.ndarray:
-    """Row 0: P(c) per ket row c; row i: P(c) <A_i>_c."""
-    moments = system_moments(joint, {}, *operators)
-    return np.einsum("cs,ost,ct->oc", rows, moments, rows.conj())
-
-
-def strong_readout(joint: JointState, basis: Sequence[StateVector],
-                   *operators: Mapping[int, str]) -> tuple[np.ndarray, ...]:
-    """Strong measurement in a complete orthonormal basis, read as moments.
-
-    Returns (P, P<A_1>, P<A_2>, ...): the outcome probabilities (real, in
-    basis order, summing to 1 within 1e-10) and, per pointer operator (see
-    system_moments), P(c) times its moment on the pointers conditioned on
-    outcome c.  Same numbers as strong_measure followed by a moment of each
-    conditioned state, without building those states.
-    """
-    out = _outcome_moments(joint, _basis_rows(joint, basis), operators)
-    probs = out[0].real
-    _check_probability_sum(float(probs.sum()))
-    return (probs, *out[1:])
-
-
-def postselected_moments(joint: JointState, c: StateVector,
-                         *operators: Mapping[int, str]) -> tuple[float, np.ndarray]:
-    """Post-select |c> and read each pointer operator's conditioned moment.
-
-    Returns (P(c), [<A_1>_f, <A_2>_f, ...]) with the probability and checks
-    of postselect, without building the conditioned state.
-    """
-    _check_ket_dim(joint, c)
-    out = _outcome_moments(joint, c.amps[None, :], operators)[:, 0]
-    prob = float(out[0].real)
-    _check_postselection(prob)
-    return prob, out[1:] / prob
 
 
 def pointer_moments(joint: JointState, idx: int) -> tuple[float, float]:
@@ -554,49 +437,140 @@ def joint_ann_moment(joint: JointState, idx1: int, idx2: int, *more: int) -> com
     return complex(np.trace(moment))
 
 
-def last_pointer_moments(joint: JointState, operator: Mapping[int, str],
-                         observables: Sequence[OperatorMatrix], gt: float,
-                         grid: PointerGrid, sigma: float) -> np.ndarray:
-    """<A a> with a on one more pointer, coupled last and read from a table.
+def _chain_patterns(kets: np.ndarray, observables: Sequence[OperatorMatrix],
+                    gts: Sequence[float], grid: PointerGrid) -> tuple[np.ndarray, list]:
+    """Pattern kets V_l psi_b, shape (B, L, N), and each observable's
+    distinct eigenvalues.
 
-    For each Hermitian observable O: the trace of system_moments for A times
-    a on a fresh Gaussian pointer (grid, sigma) appended to joint after
-    apply_coupling(CouplingSpec(O, <that pointer>, gt, 1.0)), computed
-    without that pointer's axis.  The coupling is the last operation on the
-    state and only this moment reads the pointer, so with (lambda_c, v_c)
-    the full eigenbasis of O the coupled state is
-    sum_c (v_c v_c^dag psi) (x) T_{gt lambda_c} phi, the cross terms vanish
-    in the trace over the system, and
-
-        <A a> = sum_c x(lambda_c) v_c^T G_A conj(v_c),
-
-    G_A = system_moments(joint, A), x(lambda) = <T phi| a |T phi> on the
-    same grid, Gaussian and spectral translation (one FFT pair per
-    eigenvalue).  The last factor acts as a strong measurement of O, each
-    outcome weighted by its displaced pointer's moment.  Same wrap guard and
-    message as apply_coupling on a fresh pointer.  Returns one moment per
-    observable.
+    V_l = V^P_{l_P} ... V^1_{l_1} runs over the eigenvalue patterns l of the
+    chain, the first coupling's index slowest, V^j_lambda the spectral
+    projector of observables[j] on its eigenvalue lambda.  Each observable
+    gets, in chain order, the Hermitian check of CouplingSpec and the
+    dimension check and wrap guard of apply_coupling on a fresh pointer.
     """
+    if len(observables) != len(gts):
+        raise ValueError("need one coupling per observable")
+    branches, dim = kets.shape
+    amps = kets[:, None, :]
     spectra = []
-    for obs in observables:
-        if obs.dim != joint.dim:
+    for obs, gt in zip(observables, gts):
+        _require_hermitian(obs)
+        if obs.dim != dim:
             raise ValueError("observable dimension does not match the system")
-        m = obs.matrix
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("coupling observable not Hermitian")
         lam, vecs = _eigs(obs)
         _check_shift(abs(gt) * float(np.max(np.abs(lam), initial=0.0)), grid)
-        spectra.append((lam, vecs))
-    (gram,) = system_moments(joint, operator)
+        values, group = np.unique(lam, return_inverse=True)
+        projectors = np.array([
+            vecs[:, group == i] @ vecs[:, group == i].conj().T for i in range(values.size)
+        ])
+        amps = np.einsum("dst,blt->blds", projectors, amps).reshape(branches, -1, dim)
+        spectra.append(values)
+    return amps, spectra
+
+
+def _displaced(phi_hat: np.ndarray, grid: PointerGrid, values: np.ndarray,
+               gt: float) -> np.ndarray:
+    """fft of T_{gt lambda} phi, one row per eigenvalue lambda, from
+    phi_hat = fft(phi): the spectral translation of apply_coupling."""
+    return phi_hat * np.exp(-1j * gt * values[:, None] * grid.wavenumbers)
+
+
+def _pointer_table(shifted: np.ndarray, grid: PointerGrid, sigma: float,
+                   variable: str | None) -> np.ndarray:
+    """x[l, m] = <T_m phi| A |T_l phi> over the rows of shifted, A the
+    identity (None) or the pointer variable Q, K or a."""
+    applied = shifted if variable is None else _apply_pointer_variable(
+        shifted, grid, sigma, 1, variable)
+    return applied @ shifted.conj().T * grid.dq
+
+
+def chain_readout(system, observables: Sequence[OperatorMatrix], gts: Sequence[float],
+                  grid: PointerGrid, sigma: float,
+                  outcomes: Sequence[StateVector] | StateVector | None,
+                  *operators: Mapping[int, str]) -> tuple[np.ndarray, ...]:
+    """Moments of a chain of momentum couplings, read from eigenvalue tables.
+
+    observables[j] is coupled to pointer j's momentum with g t = gts[j],
+    first to last, every pointer a Gaussian of width sigma on grid.  Each
+    operator maps pointer index -> variable ("Q", "K" or "a") over distinct
+    pointers, as in system_moments.  outcomes is a complete orthonormal
+    basis (a strong measurement), one post-selected ket, or None (no
+    outcome).  Returns (P, P<A_1>, P<A_2>, ...), arrays over the outcome
+    rows (N for a basis, one otherwise):
+
+        P(c) <A>_c = sum_b w_b sum_{l, m} <c|V_l psi_b> x(l, m) conj(<c|V_m psi_b>),
+
+    x(l, m) = prod_j x_j(l_j, m_j) with x_j the table of pointer j's factor
+    of A (the overlap table for a pointer A does not read).  These are the
+    numbers of system_moments on the coupled JointState to rounding, with
+    no pointer tensor: a projector chain of P pointers costs 2^P pattern
+    kets and two displaced pointers per coupling.  Probabilities are real;
+    a basis keeps the 1e-10 probability-sum check, a post-selected ket the
+    numerically-zero check (PostselectionError).
+    """
+    weights, kets = _branches(system)
+    dim = kets.shape[1]
+    if isinstance(outcomes, StateVector):
+        if outcomes.dim != dim:
+            raise ValueError("post-selection ket dimension mismatch")
+        rows = outcomes.amps[None, :]
+    elif outcomes is not None:
+        rows = _basis_rows(outcomes, dim)
+    _check_operators(operators, len(observables))
+    amps, spectra = _chain_patterns(kets, observables, gts, grid)
+    if outcomes is not None:
+        amps = amps @ rows.conj().T  # <c|V_l psi_b>, one column per outcome c
     phi_hat = np.fft.fft(gaussian_pointer(grid, sigma).amps)
-    out = np.empty(len(spectra), dtype=complex)
-    for i, (lam, vecs) in enumerate(spectra):
-        shifted = np.fft.ifft(phi_hat * np.exp(-1j * gt * np.outer(lam, grid.wavenumbers)),
-                              axis=1)
-        read = _apply_pointer_variable(shifted, grid, sigma, 1, "a")
-        table = np.sum(shifted.conj() * read, axis=1) * grid.dq
-        out[i] = table @ np.einsum("sc,st,tc->c", vecs, gram, vecs.conj())
-    return out
+    shifted = [np.fft.ifft(_displaced(phi_hat, grid, values, gt), axis=1)
+               for values, gt in zip(spectra, gts)]
+    out = np.empty((1 + len(operators), amps.shape[2]), dtype=complex)
+    for i, op in enumerate(({}, *operators)):
+        table = np.ones((1, 1))
+        for j, pointer in enumerate(shifted):
+            x = _pointer_table(pointer, grid, sigma, op.get(j))
+            # Kronecker product: the earlier pointers' pattern index slowest
+            table = np.multiply.outer(table, x).transpose(0, 2, 1, 3)
+            table = table.reshape(table.shape[0] * table.shape[1], -1)
+        out[i] = np.einsum("b,blc,lm,bmc->c", weights, amps, table, amps.conj())
+    if outcomes is None:
+        out = out.sum(axis=1, keepdims=True)  # the trace over the system
+    probs = out[0].real
+    if isinstance(outcomes, StateVector):
+        _check_postselection(float(probs[0]))
+    elif outcomes is not None:
+        _check_probability_sum(float(probs.sum()))
+    return (probs, *out[1:])
+
+
+def outcome_pointer_densities(system, observable: OperatorMatrix, gt: float,
+                              grid: PointerGrid, sigma: float,
+                              basis: Sequence[StateVector]) -> tuple[np.ndarray, ...]:
+    """Pointer laws per strong outcome after one momentum coupling.
+
+    Couples observable to a Gaussian pointer (grid, sigma) with g t = gt,
+    then measures the complete orthonormal basis.  Returns (P, Q, K): P[c]
+    the outcome probabilities (summing to 1 within 1e-10), and Q[c] and K[c]
+    the position and momentum (FFT order) mass per cell of the pointer
+    jointly with outcome c, each summing to P[c]:
+
+        Q[c] = sum_b w_b |sum_l <c|V_l psi_b> T_{gt lambda_l} phi|^2 dq,
+
+    and K likewise with the displaced pointers in momentum space.  Same
+    patterns, displaced pointers and checks as chain_readout.
+    """
+    weights, kets = _branches(system)
+    rows = _basis_rows(basis, kets.shape[1])
+    amps, (values,) = _chain_patterns(kets, [observable], [gt], grid)
+    # (B, C, L) outcome amplitudes of each displaced pointer
+    amps = np.swapaxes(amps @ rows.conj().T, 1, 2)
+    k_pointers = _displaced(np.fft.fft(gaussian_pointer(grid, sigma).amps), grid, values, gt)
+    q_pointers = np.fft.ifft(k_pointers, axis=1)
+    q_mass = np.einsum("b,bcq->cq", weights, np.abs(amps @ q_pointers) ** 2) * grid.dq
+    k_mass = np.einsum("b,bck->ck", weights, np.abs(amps @ k_pointers) ** 2)
+    k_mass *= grid.dq / grid.points
+    probs = q_mass.sum(axis=1)
+    _check_probability_sum(float(probs.sum()))
+    return probs, q_mass, k_mass
 
 
 def weak_value_from_moments(qf: float, kf: float, g: float, t: float, sigma: float) -> complex:

@@ -36,6 +36,12 @@ class PointerGrid:
         self.points = int(points)
         self.half_width = float(half_width)
         self.dq = 2.0 * self.half_width / self.points
+        if not (0.0 < self.dq < np.inf and np.isfinite(np.pi / self.dq)):
+            raise ValueError(
+                f"half_width {half_width} over {points} points gives grid spacing"
+                f" {self.dq}; the spacing and its momentum range pi/dq must be finite"
+                " and positive"
+            )
         self.positions = -self.half_width + self.dq * np.arange(self.points)
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dq)
         self.positions.setflags(write=False)
@@ -97,24 +103,42 @@ class PointerState:
     def normalize(cls, grid: PointerGrid, amps) -> "PointerState":
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         norm = np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dq)
-        if norm < 1e-150:
-            raise ValueError("cannot normalize zero amplitudes")
+        if not 1e-150 <= norm < np.inf:
+            raise ValueError(f"cannot normalize amplitudes of norm {norm}")
         return cls(grid, amps / norm)
+
+
+def check_sigma(sigma: float) -> None:
+    """ValueError unless sigma is positive and sigma**2 a normal, finite
+    float.  Below that range sigma**2 underflows (to 0 at 1e-162, giving a
+    Gaussian of NaN amplitudes); above it, sigma**2 overflows."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    limits = np.finfo(float)
+    low, high = float(np.sqrt(limits.tiny)), float(np.sqrt(limits.max))
+    if not low <= sigma < high:
+        raise ValueError(
+            f"sigma must lie in [{low:.3g}, {high:.3g}) so that sigma**2 is a"
+            f" normal float, got {sigma}"
+        )
 
 
 def gaussian_pointer(grid: PointerGrid, sigma: float) -> PointerState:
     """Normalized Gaussian phi_i(q) ~ exp(-q^2/(4 sigma^2)).
 
-    Requires L >= 8 sigma so the truncated tails stay below 1e-14.
+    Requires a sigma that check_sigma accepts and L >= 8 sigma so the
+    truncated tails stay below 1e-14; ValueError when the amplitudes' norm
+    is not finite and positive.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    check_sigma(sigma)
     if grid.half_width < 8 * sigma:
         raise ValueError(
             f"grid half-width {grid.half_width} too narrow for sigma {sigma}"
             " (need half_width >= 8 sigma)"
         )
-    return PointerState.normalize(grid, np.exp(-grid.positions**2 / (4 * sigma**2)))
+    with np.errstate(over="ignore"):  # the exponent is -inf where the Gaussian is 0
+        amps = np.exp(-grid.positions**2 / (4 * sigma**2))
+    return PointerState.normalize(grid, amps)
 
 
 def position_density(state: PointerState) -> np.ndarray:
@@ -140,8 +164,8 @@ def expect_k(state: PointerState) -> float:
 def expect_ann(state: PointerState, sigma: float) -> complex:
     """Marginal moment <a> = <Q>/(2 sigma) + i <K> sigma.
 
-    Joint product moments such as <a1 a2> are computed on the full joint
-    tensor in the evolution module, not from per-pointer marginals.
+    Joint product moments such as <a1 a2> are computed in the evolution
+    module (chain_readout), not from per-pointer marginals.
     """
     return expect_q(state) / (2 * sigma) + 1j * expect_k(state) * sigma
 

@@ -19,13 +19,14 @@ Scheme 1 readout constant: the product moment obeys
 <a1 a2>_f = (g1 t/(2 sigma1)) (g2 t/(2 sigma2)) Tr[EF rho] + O((gt)^2),
 so the calibration constant is kappa = (2 sigma1/(g1 t)) (2 sigma2/(g2 t));
 calibrate_scheme1 re-derives this numerically on an eigenstate case where
-the relation is exact at any coupling.  The last factor of a Scheme 1 chain
-is coupled last and read only by the product moment, so its pointer is not
-a tensor axis: the moment is sum_c x(lambda_c) v_c^T G conj(v_c) over the
-eigenbasis (lambda_c, v_c) of that factor, with G the system-resolved moment
-of the other pointers and x(lambda) the displaced pointer's <a>
-(evolution.last_pointer_moments).  A product's tensor holds one pointer and
-the density route's two; the numbers are the full tensor's to rounding.
+the relation is exact at any coupling.
+
+Every route but Scheme 2 couples a chain of projectors, each to its own
+pointer's momentum, and reads it with evolution.chain_readout: N x N algebra
+over the chain's eigenvalue patterns and a small table of displaced-pointer
+moments per pointer, with no system-pointer tensor.  Each route keeps the
+grid of its pointer count (ROUTE_POINTERS), so the numbers are those of the
+full tensor on that grid to rounding.
 
 Scheme 2 conventions, fixed numerically against closed-form values on
 random states: with U_D = exp(-i g2 E K2 Q1 t) exp(-i g_D F D1 t),
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,11 +54,9 @@ from .evolution import (
     PostselectionError,
     apply_conditional_coupling,
     apply_coupling,
-    last_pointer_moments,
+    chain_readout,
     make_joint,
     pointer_moments,
-    postselected_moments,
-    strong_readout,
     weak_value_from_moments,
 )
 from .hilbert import (
@@ -94,9 +93,10 @@ ROUTE_POINTERS = {
 
 
 def tensor_pointers(protocol: str, scheme: str) -> int:
-    """Pointers a route's joint tensors carry: the Scheme 1 routes read
-    their last pointer from a table (last_pointer_moments), one fewer."""
-    return ROUTE_POINTERS[protocol, scheme] - (scheme == "scheme1")
+    """Pointers a route's joint tensor carries: Scheme 2 couples one pointer
+    to another and holds both in a JointState; every other route reads its
+    pointers from eigenvalue tables (chain_readout) and holds none."""
+    return ROUTE_POINTERS[protocol, scheme] if scheme == "scheme2" else 0
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ class ProtocolParams:
     gt is the first (or only) coupling product g*t; gt2/gt3 default to gt.
     Grid size defaults depend on how many pointers the route couples (512
     for one, 256 for two, 64 for three) and the half-width defaults to 16
-    sigma.  The 64-point default was set when the three-pointer route (the
-    Scheme 1 density) carried a 64^3 tensor; it now carries a 64^2 tensor
-    plus a 64-point table for its last pointer (last_pointer_moments), and
-    keeps the grid so its numbers stay those of the full tensor.
+    sigma.  The routes read their pointers from tables of a few displaced
+    pointers on this grid (chain_readout), so the size no longer bounds
+    memory; it is kept per pointer count so that every route's numbers are
+    those of a full system-pointer tensor on the same grid.
     """
 
     gt: float = 0.02
@@ -220,35 +220,6 @@ def _require_unbiased_b0(b0: StateVector) -> None:
         raise ValueError("b0 must be unbiased with respect to the standard basis")
 
 
-def _weak_readouts(system, chains: Iterable[Sequence[OperatorMatrix]],
-                   params: ProtocolParams, pointers: int, readout) -> Iterator:
-    """Yield readout(joint) for each chain of ops, where joint is system (x)
-    one Gaussian pointer per op on params.grid(pointers), the grid of a
-    route that couples that many pointers, after coupling op j to pointer
-    j's momentum with params.couplings(len(ops))[j], first to last.
-
-    Only this generator holds the joint states, and each is released when
-    the next chain's product state has been built, as in a plain loop over
-    settings.  Releasing it before that let the allocator hand its pages
-    back and fault them in again (5-10% slower on the density routes);
-    holding it through the next chain's couplings costs a third state of
-    peak memory.  A fresh grid per chain likewise cost page faults, and so
-    did a grid built before the generator starts rather than right before
-    the first joint state (3-5% on the CLI density run, 6 MB lower peak
-    memory): one grid, built here, serves every chain.
-    """
-    grid = None
-    for ops in chains:
-        n_ptr = len(ops)
-        gts = params.couplings(n_ptr)
-        if grid is None:
-            grid = params.grid(pointers)
-        joint = make_joint(system, [(grid, params.sigma)] * n_ptr)
-        for j, op in enumerate(ops):
-            joint = apply_coupling(joint, CouplingSpec(op, j, gts[j], 1.0))
-        yield readout(joint)
-
-
 def _kappa(gts: Sequence[float], sigma: float) -> float:
     """Product readout constant prod_j 2 sigma/(g_j t)."""
     kappa = 1.0
@@ -300,21 +271,21 @@ def direct_wavefunction(
     params = params or ProtocolParams()
     _require_unbiased_b0(b0)
     n = psi.dim
-    (gt,) = params.couplings(1)
+    gts = params.couplings(1)
+    grid = params.grid(ROUTE_POINTERS["wavefunction", "substitution"])
     raw = np.empty(n, dtype=complex)
     probs = np.empty(n)
-    reads = _weak_readouts(
-        psi, ([projector(standard_ket(n, a))] for a in range(n)), params,
-        ROUTE_POINTERS["wavefunction", "substitution"],
-        lambda joint: postselected_moments(joint, b0, {0: "Q"}, {0: "K"}),
-    )
-    for a, (prob, (qf, kf)) in enumerate(reads):
+    for a in range(n):
+        ps, pq, pk = chain_readout(psi, [projector(standard_ket(n, a))], gts, grid,
+                                   params.sigma, b0, {0: "Q"}, {0: "K"})
+        prob = float(ps[0])
+        qf, kf = pq[0] / prob, pk[0] / prob
         if prob < params.postselect_floor:
             raise PostselectionError(
                 f"post-selection probability {prob:.3e} below floor"
                 f" {params.postselect_floor:g} at setting a={a}"
             )
-        raw[a] = weak_value_from_moments(qf.real, kf.real, gt, 1.0, params.sigma)
+        raw[a] = weak_value_from_moments(qf.real, kf.real, gts[0], 1.0, params.sigma)
         probs[a] = prob
     norm = np.linalg.norm(raw)
     if norm < 1e-12:
@@ -324,7 +295,7 @@ def direct_wavefunction(
         if abs(amp) > 1e-6:
             normalized = normalized * np.exp(-1j * np.angle(amp))
             break
-    estimates = _estimates(raw, ("a",), "weak_strong", (gt,), probs)
+    estimates = _estimates(raw, ("a",), "weak_strong", gts, probs)
     return WavefunctionReadout(raw, normalized, probs, estimates)
 
 
@@ -352,22 +323,17 @@ def scheme1_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
 
     Applies exp(-i g2 E K2 t) exp(-i g1 F K1 t) and reads
     kappa * <a1 a2>_f with kappa = (2 sigma/(g1 t)) (2 sigma/(g2 t)).
-    Pointer 2 is read from a table (last_pointer_moments), so the tensor
-    holds pointer 1 only.  Complex output is expected whenever EF is not
-    Hermitian.
+    Complex output is expected whenever EF is not Hermitian.
     """
     params = params or ProtocolParams()
     system, _ = as_system(system)
-    gt1, gt2 = params.couplings(2)
-    sigma = params.sigma
-    _warn_if_strong(gt1 * gt2, sigma)
-    # pointer 2 shares the route grid with pointer 1
-    [moment] = _weak_readouts(
-        system, [[f_op]], params, ROUTE_POINTERS["product", "scheme1"],
-        lambda joint: last_pointer_moments(
-            joint, {0: "a"}, [e_op], gt2, joint.grids[0], sigma)[0],
+    gts = params.couplings(2)
+    _warn_if_strong(gts[0] * gts[1], params.sigma)
+    _, (moment,) = chain_readout(
+        system, [f_op, e_op], gts, params.grid(ROUTE_POINTERS["product", "scheme1"]),
+        params.sigma, None, {0: "a", 1: "a"},
     )
-    return _kappa((gt1, gt2), sigma) * moment
+    return _kappa(gts, params.sigma) * moment
 
 
 def scheme2_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
@@ -425,10 +391,8 @@ def weak_strong_product(
     n_ptr = len(chain)
     gts = params.couplings(n_ptr)
     operators = ({0: "Q"}, {0: "K"}) if n_ptr == 1 else (dict.fromkeys(range(n_ptr), "a"),)
-    [(probs, *moments)] = _weak_readouts(
-        system, [chain], params, n_ptr,
-        lambda joint: strong_readout(joint, list(basis), *operators),
-    )
+    probs, *moments = chain_readout(system, chain, gts, params.grid(n_ptr), params.sigma,
+                                    list(basis), *operators)
     if n_ptr == 1:
         pq, pk = moments
         signals = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, params.sigma)
@@ -458,13 +422,11 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
     f_basis = fourier_basis(n)
     if params.scheme == "substitution":
         gts = params.couplings(1)
+        grid = params.grid(ROUTE_POINTERS["dirac", "substitution"])
         probs = np.empty((n, n))
-        reads = _weak_readouts(
-            system, ([projector(standard_ket(n, a))] for a in range(n)), params,
-            ROUTE_POINTERS["dirac", "substitution"],
-            lambda joint: strong_readout(joint, f_basis, {0: "Q"}, {0: "K"}),
-        )
-        for a, (probs[a], pq, pk) in enumerate(reads):
+        for a in range(n):
+            probs[a], pq, pk = chain_readout(system, [projector(standard_ket(n, a))], gts,
+                                             grid, params.sigma, f_basis, {0: "Q"}, {0: "K"})
             for b in range(n):
                 if probs[a, b] >= 1e-12:
                     entries[a, b] = weak_value_from_moments(
@@ -491,9 +453,8 @@ def direct_density(rho, b0: StateVector | None = None,
     standard-basis readout supplies a2, and P(a2) times the conditioned
     product signal estimates <Pi_{a1 a2}> = <a1|rho|a2>/N.  scheme1 instead
     couples all three projectors to their own pointers and reads the triple
-    moment without any strong measurement; per a1 one two-pointer state and
-    one system-resolved moment serve every a2, whose pointer is read from a
-    table (last_pointer_moments).  scheme2 is refused: conditioning its
+    moment without any strong measurement.  Every chain is read from
+    eigenvalue tables (chain_readout).  scheme2 is refused: conditioning its
     readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see module docstring).
     """
     params = params or ProtocolParams()
@@ -514,13 +475,13 @@ def direct_density(rho, b0: StateVector | None = None,
         gts = params.couplings(2)
         kappa = _kappa(gts, params.sigma)
         s_basis = standard_basis(n)
+        grid = params.grid(ROUTE_POINTERS["density", "substitution"])
         probs = np.empty((n, n))
-        reads = _weak_readouts(
-            system, ([projector(standard_ket(n, a1)), e_op] for a1 in range(n)), params,
-            ROUTE_POINTERS["density", "substitution"],
-            lambda joint: strong_readout(joint, s_basis, {0: "a", 1: "a"}),
-        )
-        for a1, (probs[a1], moments) in enumerate(reads):
+        for a1 in range(n):
+            probs[a1], moments = chain_readout(
+                system, [projector(standard_ket(n, a1)), e_op], gts, grid, params.sigma,
+                s_basis, {0: "a", 1: "a"},
+            )
             for a2 in range(n):
                 if probs[a1, a2] >= 1e-12:
                     raw[a1, a2] = kappa * complex(moments[a2])
@@ -528,16 +489,14 @@ def direct_density(rho, b0: StateVector | None = None,
     else:
         gts = params.couplings(3)
         kappa = _kappa(gts, params.sigma)
-        a2_ops = [projector(ket) for ket in standard_basis(n)]
-        # the a2 pointer shares the route grid with the a1 and b0 pointers
-        reads = _weak_readouts(
-            system, ([projector(standard_ket(n, a1)), e_op] for a1 in range(n)), params,
-            ROUTE_POINTERS["density", "scheme1"],
-            lambda joint: last_pointer_moments(
-                joint, {0: "a", 1: "a"}, a2_ops, gts[2], joint.grids[0], params.sigma),
-        )
-        for a1, moments in enumerate(reads):
-            raw[a1] = kappa * moments
+        grid = params.grid(ROUTE_POINTERS["density", "scheme1"])
+        kets = standard_basis(n)
+        for a1, a2 in np.ndindex(n, n):
+            _, (moment,) = chain_readout(
+                system, [projector(kets[a1]), e_op, projector(kets[a2])], gts, grid,
+                params.sigma, None, {0: "a", 1: "a", 2: "a"},
+            )
+            raw[a1, a2] = kappa * moment
         estimates = _estimates(raw, ("a1", "a2"), "scheme1", gts)
     scaled = n * raw
     matrix = hermitize_normalize(scaled)

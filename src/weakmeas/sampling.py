@@ -20,11 +20,16 @@ pure function of (seed, shots, readout_split, i): independent of chunking
 or execution order, but not of the total shot count, which moves the
 position/momentum boundary.
 
+The per-outcome pointer laws are exact: with (lambda_l, V_l) the distinct
+eigenvalues and spectral projectors of the observable, outcome c leaves the
+pointer in sum_l <c|V_l psi_b> T_{gt lambda_l} phi on branch b of rho, and
+its position law is sum_b w_b |.|^2 (momentum likewise), read from one
+displaced pointer per eigenvalue (evolution.outcome_pointer_densities).
+
 One record serves every outcome-value row of a setting: with a (V, N)
-stack of values, the joint state, the per-outcome laws and the shots are
-built once, and each row is averaged over the same record.  Row v of a
-stack therefore gives exactly the estimate of a single-row call with that
-row.
+stack of values, the per-outcome laws and the shots are built once, and
+each row is averaged over the same record.  Row v of a stack therefore
+gives exactly the estimate of a single-row call with that row.
 """
 
 from __future__ import annotations
@@ -34,14 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolution import (
-    CouplingSpec,
-    apply_coupling,
-    make_joint,
-    reduced_momentum_density,
-    reduced_position_density,
-    strong_measure,
-)
+from .evolution import outcome_pointer_densities
 from .hilbert import OperatorMatrix, StateVector
 from .protocols import ProtocolParams
 
@@ -114,25 +112,20 @@ def sample_protocol(
     (gt,) = params.couplings(1)
     sigma = params.sigma
     grid = params.grid(1)
+    probs, q_masses, k_masses = outcome_pointer_densities(
+        setting.system, setting.observable, gt, grid, sigma, list(setting.basis))
 
-    joint = make_joint(setting.system, [(grid, sigma)])
-    joint = apply_coupling(joint, CouplingSpec(setting.observable, 0, gt, 1.0))
-    outcomes = strong_measure(joint, list(setting.basis))
-
-    probs = np.array([p for _, p, _ in outcomes])
     dq = grid.dq
     q_edges = np.concatenate((grid.positions - dq / 2, [grid.positions[-1] + dq / 2]))
     k_sorted = np.fft.fftshift(grid.wavenumbers)
     dk = grid.dk
     k_edges = np.concatenate((k_sorted - dk / 2, [k_sorted[-1] + dk / 2]))
-    laws = []
-    for i, _, conditioned in outcomes:
-        if conditioned is None:
-            laws.append(None)
-            continue
-        q_mass = reduced_position_density(conditioned, 0)
-        k_mass = np.fft.fftshift(reduced_momentum_density(conditioned, 0))
-        laws.append((_cell_cdf(q_mass, q_edges), _cell_cdf(k_mass, k_edges)))
+    laws = [
+        # no law for an outcome of numerically zero probability: its shots read 0
+        None if prob < 1e-14 else (
+            _cell_cdf(q_mass, q_edges), _cell_cdf(np.fft.fftshift(k_mass), k_edges))
+        for prob, q_mass, k_mass in zip(probs, q_masses, k_masses)
+    ]
 
     n_pos = int(round(plan.readout_split * plan.shots))
     n_mom = plan.shots - n_pos

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weakmeas.evolution import (
-    CouplingSpec,
-    apply_coupling,
-    make_joint,
-    pointer_moments,
-    postselect,
-    weak_value_from_moments,
-)
+from weakmeas.evolution import chain_readout, weak_value_from_moments
 from weakmeas.hilbert import (
     DensityMatrix,
     StateVector,
@@ -75,11 +68,9 @@ def postselected_ket(dim, seed, psi, floor=0.1):
 
 
 def simulated_weak_value(psi, a_op, c, gt, sigma=1.0):
-    joint = make_joint(psi, [(GRID1, sigma)])
-    joint = apply_coupling(joint, CouplingSpec(a_op, 0, gt, 1.0))
-    _, conditioned = postselect(joint, c)
-    qf, kf = pointer_moments(conditioned, 0)
-    return weak_value_from_moments(qf, kf, gt, 1.0, sigma)
+    (prob,), (pq,), (pk,) = chain_readout(psi, [a_op], [gt], GRID1, sigma, c,
+                                          {0: "Q"}, {0: "K"})
+    return weak_value_from_moments(pq.real / prob, pk.real / prob, gt, 1.0, sigma)
 
 
 def assert_converges(gts, errors):

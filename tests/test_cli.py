@@ -22,6 +22,7 @@ from weakmeas.hilbert import (
     standard_ket,
 )
 from weakmeas.oracle import dirac_exact
+from weakmeas.pointer import gaussian_pointer
 from weakmeas.protocols import (
     ROUTE_POINTERS,
     SCHEMES,
@@ -272,10 +273,14 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # The density route reads its pointers from tables, so the pointer.points
+    # and state.random.rank cases need sizes that still pass the ceiling
+    # there: two displaced pointers of 2^24 cells, and Scheme 2's tensor.
     @pytest.mark.parametrize("edit, field", [
         ({"dim": 1e9}, "dim"),
-        ({"pointer": {"points": 1048576}}, "pointer.points"),
-        ({"dim": 64, "state": {"random": {"seed": 1, "rank": 64}}}, "state.random.rank"),
+        ({"pointer": {"points": 2**24}}, "pointer.points"),
+        ({"dim": 64, "protocol": "dirac", "scheme": "scheme2",
+          "state": {"random": {"seed": 1, "rank": 64}}}, "state.random.rank"),
         ({"dim": None, "state": {"amps": [1.0] + [0.0] * 4096}}, "state"),
     ])
     def test_allocation_ceiling_names_the_field(self, tmp_path, capsys, edit, field):
@@ -291,13 +296,57 @@ class TestConfigErrors:
         assert "MAX_AMPLITUDES" in err
 
     def test_allocation_ceiling_counts_the_tensor_pointers(self):
-        # Scheme 1 density holds 64^2 pointer cells per branch, not 64^3.
+        # Only Scheme 2 holds a pointer tensor: 64 x 64 x 256^2 amplitudes at
+        # full rank.  The table routes hold 2^P eigenvalue patterns per branch
+        # and row, 64 x 64 x 8 for the Scheme 1 density.
         config = {"dim": 64, "protocol": "density", "scheme": "scheme1",
                   "state": {"random": {"seed": 1, "rank": 64}}}
-        assert 64 * 64 * 64**2 == MAX_AMPLITUDES
         assert resolve_config(config).dim == 64
+        assert resolve_config({**config, "scheme": "substitution"}).dim == 64
+        scheme2 = {**config, "protocol": "dirac", "scheme": "scheme2"}
+        assert 64 * 64 * 256**2 > MAX_AMPLITUDES
         with pytest.raises(ConfigError, match="^state.random.rank: "):
-            resolve_config({**config, "scheme": "substitution"})
+            resolve_config(scheme2)
+        with_rank = {**scheme2, "state": {"random": {"seed": 1, "rank": 4}}}
+        assert 4 * 64 * 256**2 == MAX_AMPLITUDES
+        assert resolve_config(with_rank).scheme == "scheme2"
+
+    def test_rank_two_density_at_dim_32_runs(self, tmp_path):
+        # The pointer tensor of this route used to be 2 x 32 x 256^2
+        # amplitudes, twice MAX_AMPLITUDES.
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"dim": 32, "protocol": "density", "sweep": [0.04, 0.02],
+                            "state": {"random": {"seed": 3, "rank": 2}}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--threads", "1"]) == 0
+        assert main(["report", str(out)]) == 0
+        rows = read_csv_rows(out / "estimates.csv")
+        assert len(rows) == 2 * 32 * 32
+        assert max(float(row["abs_error"]) for row in rows) < 1e-3
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["reconstruction"]["trace_distance"] < 1e-4
+
+    def test_shot_ceiling_names_the_field(self):
+        config = {"dim": 2, "protocol": "dirac", "state": {"preset": "plus-i"},
+                  "sampling": {"seed": 1, "shots": MAX_AMPLITUDES}}
+        assert resolve_config(config).sampling.shots == MAX_AMPLITUDES
+        for shots in (MAX_AMPLITUDES + 1, 1e11):
+            config["sampling"]["shots"] = shots
+            with pytest.raises(ConfigError, match="^sampling.shots: .*MAX_AMPLITUDES"):
+                resolve_config(config)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e155])
+    def test_pointer_width_whose_square_is_not_a_normal_float_exits_2(
+            self, tmp_path, capsys, sigma):
+        # 1e-300 used to square to 0, build NaN pointers and exit 3 as a
+        # wrap-around ("accumulated pointer shift 0.08 exceeds guard 4e-300").
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"dim": 2, "protocol": "dirac", "state": {"preset": "plus-i"},
+                            "pointer": {"sigma": sigma}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pointer.sigma: sigma must lie in")
+        assert not (tmp_path / "out").exists()
 
     def test_rank_out_of_range_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.yaml",
@@ -444,9 +493,11 @@ class TestAborts:
 # Values of mixed types, and a sensible value for each field of the schema.
 JUNK = st.one_of(
     # Numbers reach past the allocation ceiling (MAX_AMPLITUDES), which
-    # resolve_config must enforce before it allocates anything that large.
+    # resolve_config must enforce before it allocates anything that large,
+    # and down to magnitudes whose squares underflow.
     st.none(), st.booleans(), st.integers(-3, 6), st.floats(-1e12, 1e12),
-    st.sampled_from([2**12 + 1, 2**20, 10**9, 2**40, 1e300]),
+    st.sampled_from([2**12 + 1, 2**20, 2**24 + 1, 10**9, 2**40, 1e300]),
+    st.floats(1e-300, 1e-3), st.sampled_from([1e-300, 1e-160, 5e-324, -1e-300]),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.text(max_size=3),
     st.lists(st.integers(-1, 2), max_size=3), st.dictionaries(st.text(max_size=2), st.none()),
 )
@@ -514,10 +565,20 @@ def test_resolve_config_resolves_or_names_the_field(raw):
         return
     assert scenario.protocol in PROTOCOLS
     assert scenario.rho.shape == (scenario.dim, scenario.dim)
+    # What the route allocates: Scheme 2's pointer tensor, a sampled run's
+    # per-outcome pointer laws and shot draws, or the 2^P eigenvalue
+    # patterns of a table route, and two displaced pointers per table.
     branches = np.count_nonzero(np.linalg.eigvalsh(scenario.rho) > 1e-12)
-    points = scenario.params.points(ROUTE_POINTERS[scenario.protocol, scenario.scheme])
-    cells = points ** tensor_pointers(scenario.protocol, scenario.scheme)
-    assert max(scenario.dim**2, branches * scenario.dim * cells) <= MAX_AMPLITUDES
+    pointers = ROUTE_POINTERS[scenario.protocol, scenario.scheme]
+    points = scenario.params.points(pointers)
+    tensor = tensor_pointers(scenario.protocol, scenario.scheme)
+    cells = points**tensor if tensor else points if scenario.sampling else 2**pointers
+    assert max(scenario.dim**2, branches * scenario.dim * cells, 2 * points) <= MAX_AMPLITUDES
+    if scenario.sampling:
+        assert scenario.sampling.shots <= MAX_AMPLITUDES
+    # the route's pointer is a finite Gaussian
+    pointer = gaussian_pointer(scenario.params.grid(pointers), scenario.params.sigma)
+    assert np.all(np.isfinite(pointer.amps))
 
 
 class TestCalibrateAndOracle:

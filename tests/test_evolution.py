@@ -5,21 +5,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weakmeas.evolution import (
+    Branch,
     CouplingSpec,
+    JointState,
     PostselectionError,
     apply_conditional_coupling,
     apply_coupling,
+    chain_readout,
     joint_ann_moment,
-    last_pointer_moments,
     make_joint,
+    outcome_pointer_densities,
     pointer_moments,
-    postselect,
-    postselected_moments,
-    reduced_momentum_density,
-    reduced_position_density,
-    reduced_system_density,
-    strong_measure,
-    strong_readout,
     system_moments,
     weak_value_from_moments,
 )
@@ -42,6 +38,53 @@ PI0 = projector(standard_ket(2, 0))
 
 def one_pointer(system):
     return make_joint(system, [(GRID, 1.0)])
+
+
+# Full-tensor references: the reduced states of a JointState.
+
+
+def reduced_system_density(joint):
+    """Trace out all pointers; the N x N system density matrix."""
+    axes = list(range(1, joint.num_pointers + 1))
+    rho = sum(w * np.tensordot(amps, amps.conj(), axes=(axes, axes))
+              for w, amps in joint.branches)
+    return rho * joint.measure
+
+
+def _pointer_mass(joint, idx, transform):
+    ax = idx + 1
+    mass = 0.0
+    for weight, amps in joint.branches:
+        dens = np.abs(transform(amps, ax)) ** 2
+        mass = mass + weight * dens.sum(axis=tuple(a for a in range(amps.ndim) if a != ax))
+    return mass * joint.measure
+
+
+def reduced_position_density(joint, idx):
+    """Probability mass per position cell of pointer idx; sums to 1."""
+    return _pointer_mass(joint, idx, lambda amps, ax: amps)
+
+
+def reduced_momentum_density(joint, idx):
+    """Probability mass per wavenumber cell (FFT order) of pointer idx."""
+    mass = _pointer_mass(joint, idx, lambda amps, ax: np.fft.fft(amps, axis=ax))
+    return mass / joint.grids[idx].points
+
+
+def postselect(joint, c):
+    """(P(c), the normalized JointState after outcome |c>): the system factor
+    is |c>, each branch keeps its conditioned pointer amplitudes, reweighted
+    by its share of P(c)."""
+    conds = [(w, np.tensordot(c.amps.conj(), amps, axes=(0, 0))) for w, amps in joint.branches]
+    masses = [w * float(np.sum(np.abs(cond) ** 2) * joint.measure) for w, cond in conds]
+    prob = sum(masses)
+    branches = [
+        Branch(mass / prob, np.multiply.outer(c.amps, cond * np.sqrt(w / mass)))
+        for (w, cond), mass in zip(conds, masses) if mass / prob > 1e-15
+    ]
+    total = sum(b.weight for b in branches)
+    branches = [Branch(b.weight / total, b.amps) for b in branches]
+    return prob, JointState(branches, joint.grids, joint.sigmas)
 
 
 class TestMakeJoint:
@@ -151,24 +194,21 @@ class TestConditionalCoupling:
 
 class TestPostselect:
     def test_orthogonal_outcome_errors(self):
-        joint = one_pointer(standard_ket(2, 0))
         with pytest.raises(PostselectionError):
-            postselect(joint, standard_ket(2, 1))
+            chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0, standard_ket(2, 1))
 
     def test_same_state_probability_one(self):
         psi = StateVector(np.array([0.6, 0.8]))
-        prob, conditioned = postselect(one_pointer(psi), psi)
+        (prob,), (pq,), (pk,) = chain_readout(psi, [PI0], [0.0], GRID, 1.0, psi,
+                                              {0: "Q"}, {0: "K"})
         assert prob == pytest.approx(1.0, abs=1e-12)
-        assert_allclose(pointer_moments(conditioned, 0), (0.0, 0.0), atol=1e-12)
+        assert_allclose((pq, pk), (0.0, 0.0), atol=1e-12)
 
     def test_probability_scales_quadratically_near_orthogonal(self):
         """pi/4 pre/post pair is orthogonal, so prob ~ (gt)^2."""
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         c = StateVector(np.array([1.0, -1.0]) / np.sqrt(2))
-        probs = []
-        for gt in (0.04, 0.02):
-            joint = apply_coupling(one_pointer(psi), CouplingSpec(PI0, 0, gt, 1.0))
-            probs.append(postselect(joint, c)[0])
+        probs = [chain_readout(psi, [PI0], [gt], GRID, 1.0, c)[0][0] for gt in (0.04, 0.02)]
         assert probs[0] / probs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_matches_reduced_state_probability(self):
@@ -176,34 +216,41 @@ class TestPostselect:
         joint = apply_coupling(make_joint(rho, [(GRID, 1.0)]),
                                CouplingSpec(PI0, 0, 0.05, 1.0))
         c = StateVector(np.array([0.6, 0.8j]))
-        prob, _ = postselect(joint, c)
+        (prob,) = chain_readout(rho, [PI0], [0.05], GRID, 1.0, c)
         reduced = reduced_system_density(joint)
-        assert prob == pytest.approx(
+        assert prob[0] == pytest.approx(
             float(np.real(np.vdot(c.amps, reduced @ c.amps))), abs=1e-10
         )
+
+    def test_keeps_the_ket_checks(self):
+        with pytest.raises(ValueError, match="dimension"):
+            chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0, standard_ket(3, 0))
 
 
 class TestStrongMeasure:
     def test_eigenstate(self):
-        results = strong_measure(one_pointer(standard_ket(2, 0)), standard_basis(2))
-        assert results[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert results[1][1] == pytest.approx(0.0, abs=1e-12)
-        assert results[1][2] is None
+        (probs,) = chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0,
+                                 standard_basis(2))
+        assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_unbiased_basis_uniform(self):
-        results = strong_measure(one_pointer(standard_ket(2, 0)), fourier_basis(2))
-        for _, prob, _ in results:
-            assert prob == pytest.approx(0.5, abs=1e-12)
+        (probs,) = chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0,
+                                 fourier_basis(2))
+        assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_maximally_mixed_uniform(self):
-        joint = one_pointer(DensityMatrix(np.eye(2) / 2))
-        for _, prob, _ in strong_measure(joint, standard_basis(2)):
-            assert prob == pytest.approx(0.5, abs=1e-12)
+        (probs,) = chain_readout(DensityMatrix(np.eye(2) / 2), [PI0], [0.02], GRID, 1.0,
+                                 standard_basis(2))
+        assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_non_orthonormal_basis_rejected(self):
         bad = [standard_ket(2, 0), StateVector(np.array([0.6, 0.8]))]
         with pytest.raises(ValueError, match="orthonormal"):
-            strong_measure(one_pointer(standard_ket(2, 0)), bad)
+            chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0, bad)
+
+    def test_incomplete_basis_rejected(self):
+        with pytest.raises(ValueError, match="complete basis"):
+            chain_readout(standard_ket(2, 0), [PI0], [0.02], GRID, 1.0, [standard_ket(2, 0)])
 
 
 class TestJointAnnMoment:
@@ -271,25 +318,6 @@ def coupled_joint(pointers, rank, n=3):
 
 
 class TestResolvedReadout:
-    @pytest.mark.parametrize("basis_kind", ["standard", "fourier"])
-    @pytest.mark.parametrize("rank", [1, 2])
-    @pytest.mark.parametrize("pointers", [1, 2, 3])
-    def test_matches_conditioned_states(self, pointers, rank, basis_kind):
-        joint = coupled_joint(pointers, rank)
-        basis = standard_basis(3) if basis_kind == "standard" else fourier_basis(3)
-        indices = tuple(range(pointers))
-        probs, pq, pk, pa = strong_readout(
-            joint, basis, {0: "Q"}, {0: "K"}, dict.fromkeys(indices, "a")
-        )
-        for i, prob, conditioned in strong_measure(joint, basis):
-            assert probs[i] == pytest.approx(prob, abs=1e-12)
-            qf, kf = pointer_moments(conditioned, 0)
-            assert abs(pq[i] - prob * qf) < 1e-12
-            assert abs(pk[i] - prob * kf) < 1e-12
-            assert abs(pa[i] - prob * reference_ann_moment(conditioned, indices)) < 1e-12
-            if pointers > 1:
-                assert abs(pa[i] - prob * joint_ann_moment(conditioned, *indices)) < 1e-12
-
     @pytest.mark.parametrize("pointers", [2, 3])
     def test_joint_moment_is_the_trace(self, pointers):
         joint = coupled_joint(pointers, 2)
@@ -312,30 +340,6 @@ class TestResolvedReadout:
         joint = coupled_joint(2, 2)
         (gram,) = system_moments(joint, {})
         assert_allclose(gram, reduced_system_density(joint).T, atol=1e-12)
-
-    @pytest.mark.parametrize("rank", [1, 2])
-    def test_postselected_moments_match_postselect(self, rank):
-        joint = coupled_joint(1, rank)
-        c = random_state(3, 5)
-        prob, (qf, kf) = postselected_moments(joint, c, {0: "Q"}, {0: "K"})
-        ref_prob, conditioned = postselect(joint, c)
-        assert prob == pytest.approx(ref_prob, abs=1e-12)
-        assert_allclose((qf, kf), pointer_moments(conditioned, 0), atol=1e-12)
-
-    def test_postselected_moments_keep_postselect_checks(self):
-        joint = one_pointer(standard_ket(2, 0))
-        with pytest.raises(PostselectionError):
-            postselected_moments(joint, standard_ket(2, 1), {0: "Q"})
-        with pytest.raises(ValueError, match="dimension"):
-            postselected_moments(joint, standard_ket(3, 0), {0: "Q"})
-
-    def test_strong_readout_keeps_basis_checks(self):
-        joint = one_pointer(standard_ket(2, 0))
-        with pytest.raises(ValueError, match="complete basis"):
-            strong_readout(joint, [standard_ket(2, 0)])
-        bad = [standard_ket(2, 0), StateVector(np.array([0.6, 0.8]))]
-        with pytest.raises(ValueError, match="orthonormal"):
-            strong_readout(joint, bad)
 
     def test_bad_operator_rejected(self):
         joint = one_pointer(standard_ket(2, 0))
@@ -421,59 +425,92 @@ def three_level_observable():
     return OperatorMatrix(np.diag([0.0, 1.0, 2.0]) + 0.3 * np.ones((3, 3)))
 
 
-class TestLastPointerMoments:
-    GRID = PointerGrid(64, 16.0)
+def chain_ops(kind, pointers, n=3):
+    """A random projector per pointer, or diag(0, 1, 2) + 0.3 J on each."""
+    if kind == "observable":
+        return [three_level_observable()] * pointers
+    return [projector(random_state(n, 20 + j)) for j in range(pointers)]
+
+
+def tensor_readout(system, ops, gts, grid, sigma, outcomes, *operators):
+    """chain_readout on the full tensor: make_joint, apply_coupling per op,
+    then c^T G conj(c) of system_moments per outcome row (the trace for
+    None)."""
+    joint = make_joint(system, [(grid, sigma)] * len(ops))
+    for j, (op, gt) in enumerate(zip(ops, gts)):
+        joint = apply_coupling(joint, CouplingSpec(op, j, gt, 1.0))
+    moments = system_moments(joint, {}, *operators)
+    if outcomes is None:
+        return np.trace(moments, axis1=1, axis2=2)[:, None]
+    rows = np.array([c.amps for c in outcomes])
+    return np.einsum("cs,ost,ct->oc", rows, moments, rows.conj())
+
+
+def outcome_rows(kind, n=3):
+    return {"standard": standard_basis(n), "fourier": fourier_basis(n),
+            "ket": random_state(n, 5), "none": None}[kind]
+
+
+class TestChainReadout:
     SIGMA = 1.25
 
-    def chain(self, system, pointers, last=None, gt=0.4):
-        """system (x) Gaussians, projector j coupled to pointer j, then
-        last (if given) coupled to one more pointer with gt."""
-        extra = 0 if last is None else 1
-        joint = make_joint(system, [(self.GRID, self.SIGMA)] * (pointers + extra))
-        for j in range(pointers):
-            spec = CouplingSpec(projector(random_state(3, 20 + j)), j, 0.3 + 0.1 * j, 1.0)
-            joint = apply_coupling(joint, spec)
-        if last is not None:
-            joint = apply_coupling(joint, CouplingSpec(last, pointers, gt, 1.0))
-        return joint
-
+    @pytest.mark.parametrize("rows", ["standard", "fourier", "ket", "none"])
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("kind", ["projector", "observable"])
-    @pytest.mark.parametrize("pointers", [0, 1, 2])
-    def test_matches_the_full_tensor(self, pointers, kind, rank):
-        system = random_state(3, 11) if rank == 1 else random_density(3, 11, 2)
-        op = projector(random_state(3, 7)) if kind == "projector" else three_level_observable()
-        operator = dict.fromkeys(range(pointers), "a")
-        full = self.chain(system, pointers, last=op)
-        (moment,) = system_moments(full, {**operator, pointers: "a"})
-        expected = np.trace(moment)
-        assert abs(expected) > 1e-6
-        if pointers:
-            assert abs(joint_ann_moment(full, *range(pointers + 1)) - expected) < 1e-14
-        (got,) = last_pointer_moments(
-            self.chain(system, pointers), operator, [op], 0.4, self.GRID, self.SIGMA
-        )
-        assert abs(got - expected) < 1e-14
+    @pytest.mark.parametrize("pointers", [1, 2, 3])
+    def test_matches_the_full_tensor(self, pointers, kind, rank, rows):
+        system = random_state(3, 11) if rank == 1 else random_density(3, 11, rank)
+        ops = chain_ops(kind, pointers)
+        gts = [0.3 + 0.1 * j for j in range(pointers)]
+        grid = READOUT_GRIDS[pointers]
+        last = pointers - 1
+        operators = ({0: "Q"}, {last: "K"}, {0: "K", last: "Q"},
+                     dict.fromkeys(range(pointers), "a"), {last: "a"})
+        outcomes = outcome_rows(rows)
+        got = np.array(chain_readout(system, ops, gts, grid, self.SIGMA, outcomes, *operators))
+        ref_rows = [outcomes] if isinstance(outcomes, StateVector) else outcomes
+        expected = tensor_readout(system, ops, gts, grid, self.SIGMA, ref_rows, *operators)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(expected[1:])) > 1e-3
+        assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_one_moment_per_observable(self):
+    def test_no_rows_is_the_unconditioned_moment(self):
         system = random_density(3, 11, 2)
-        ops = [projector(k) for k in standard_basis(3)] + [three_level_observable()]
-        joint = self.chain(system, 2)
-        got = last_pointer_moments(joint, {0: "a", 1: "Q"}, ops, 0.4, self.GRID, self.SIGMA)
-        for op, value in zip(ops, got):
-            (moment,) = system_moments(self.chain(system, 2, last=op), {0: "a", 1: "Q", 2: "a"})
-            assert abs(value - np.trace(moment)) < 1e-14
+        ops = chain_ops("projector", 2)
+        (prob,), (moment,) = chain_readout(system, ops, [0.3, 0.4], READOUT_GRIDS[2],
+                                           self.SIGMA, None, {0: "a", 1: "a"})
+        assert prob == pytest.approx(1.0, abs=1e-12)
+        joint = make_joint(system, [(READOUT_GRIDS[2], self.SIGMA)] * 2)
+        for j, (op, gt) in enumerate(zip(ops, [0.3, 0.4])):
+            joint = apply_coupling(joint, CouplingSpec(op, j, gt, 1.0))
+        assert abs(moment - joint_ann_moment(joint, 0, 1)) < 1e-12
+
+    def test_post_selected_ket_matches_the_conditioned_state(self):
+        system = random_density(3, 11, 2)
+        op, c = projector(random_state(3, 20)), random_state(3, 5)
+        (prob,), (pq,), (pk,) = chain_readout(system, [op], [0.3], READOUT_GRIDS[1],
+                                              self.SIGMA, c, {0: "Q"}, {0: "K"})
+        joint = apply_coupling(make_joint(system, [(READOUT_GRIDS[1], self.SIGMA)]),
+                               CouplingSpec(op, 0, 0.3, 1.0))
+        ref_prob, state = postselect(joint, c)
+        assert prob == pytest.approx(ref_prob, abs=1e-12)
+        assert_allclose((pq.real / prob, pk.real / prob), pointer_moments(state, 0), atol=1e-12)
 
     @pytest.mark.parametrize("gt", [1.5, 2.1, 3.9, 4.1, -4.1])
+    @pytest.mark.parametrize("position", [0, 1])
     @pytest.mark.parametrize("kind", ["projector", "observable"])
-    def test_wrap_guard_fires_where_apply_coupling_does(self, kind, gt):
-        op = projector(random_state(3, 7)) if kind == "projector" else three_level_observable()
+    def test_wrap_guard_fires_where_apply_coupling_does(self, kind, position, gt):
+        grid = PointerGrid(64, 16.0)
+        op = chain_ops(kind, 1)[0]
+        ops = [projector(random_state(3, 21))]
+        ops.insert(position, op)
+        gts = [0.3]
+        gts.insert(position, gt)
         system = random_state(3, 11)
         errors = []
         for run in (
-            lambda: self.chain(system, 1, last=op, gt=gt),
-            lambda: last_pointer_moments(self.chain(system, 1), {0: "a"}, [op], gt,
-                                         self.GRID, self.SIGMA),
+            lambda: tensor_readout(system, ops, gts, grid, self.SIGMA, None),
+            lambda: chain_readout(system, ops, gts, grid, self.SIGMA, None),
         ):
             try:
                 run()
@@ -481,15 +518,58 @@ class TestLastPointerMoments:
             except WrapAroundError as exc:
                 errors.append(str(exc))
         assert errors[0] == errors[1]
-        assert (errors[0] is None) == (abs(gt) * np.max(np.abs(np.linalg.eigvalsh(op.matrix))) <= 4)
+        reach = abs(gt) * np.max(np.abs(np.linalg.eigvalsh(op.matrix)))
+        assert (errors[0] is None) == (reach <= grid.half_width / 4)
 
-    def test_rejects_mismatched_and_non_hermitian_observables(self):
-        joint = self.chain(random_state(3, 11), 1)
+    def test_rejects_bad_chains_and_operators(self):
+        psi = random_state(3, 11)
         with pytest.raises(ValueError, match="dimension"):
-            last_pointer_moments(joint, {}, [PI0], 0.1, self.GRID, self.SIGMA)
+            chain_readout(psi, [PI0], [0.1], GRID, 1.0, None)
         skew = OperatorMatrix(np.triu(np.ones((3, 3))))
         with pytest.raises(ValueError, match="Hermitian"):
-            last_pointer_moments(joint, {}, [skew], 0.1, self.GRID, self.SIGMA)
+            chain_readout(psi, [skew], [0.1], GRID, 1.0, None)
+        op = projector(random_state(3, 20))
+        with pytest.raises(ValueError, match="one coupling per observable"):
+            chain_readout(psi, [op, op], [0.1], GRID, 1.0, None)
+        with pytest.raises(ValueError, match="out of range"):
+            chain_readout(psi, [op], [0.1], GRID, 1.0, None, {1: "Q"})
+        with pytest.raises(ValueError, match="variable"):
+            chain_readout(psi, [op], [0.1], GRID, 1.0, None, {0: "P"})
+
+
+class TestOutcomePointerDensities:
+    GRID = PointerGrid(128, 16.0)
+    SIGMA = 1.25
+
+    @pytest.mark.parametrize("basis_kind", ["standard", "fourier"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("kind", ["projector", "observable"])
+    def test_match_the_conditioned_tensor(self, kind, rank, basis_kind):
+        system = random_state(3, 11) if rank == 1 else random_density(3, 11, rank)
+        (op,) = chain_ops(kind, 1)
+        basis = outcome_rows(basis_kind)
+        probs, q_mass, k_mass = outcome_pointer_densities(
+            system, op, 0.6, self.GRID, self.SIGMA, basis)
+        joint = apply_coupling(make_joint(system, [(self.GRID, self.SIGMA)]),
+                               CouplingSpec(op, 0, 0.6, 1.0))
+        for c, ket in enumerate(basis):
+            prob, state = postselect(joint, ket)
+            assert probs[c] == pytest.approx(prob, abs=1e-12)
+            assert prob > 1e-3
+            for mass, reference in ((q_mass[c], reduced_position_density(state, 0)),
+                                    (k_mass[c], reduced_momentum_density(state, 0))):
+                assert np.max(np.abs(mass - prob * reference)) < 1e-12
+                # the tables sample_protocol inverts
+                cdf = np.cumsum(mass) / mass.sum()
+                assert np.max(np.abs(cdf - np.cumsum(reference))) < 1e-12
+
+    def test_keep_the_basis_checks_and_the_wrap_guard(self):
+        bad = [standard_ket(2, 0), StateVector(np.array([0.6, 0.8]))]
+        with pytest.raises(ValueError, match="orthonormal"):
+            outcome_pointer_densities(standard_ket(2, 0), PI0, 0.02, GRID, 1.0, bad)
+        with pytest.raises(WrapAroundError):
+            outcome_pointer_densities(standard_ket(2, 0), PI0, 5.0, GRID, 1.0,
+                                      standard_basis(2))
 
 
 class TestWeakValueFromMoments:
@@ -511,8 +591,7 @@ def test_strong_limit_recovers_born_probabilities():
     """gt >> sigma: thresholding the pointer position reproduces Born statistics."""
     grid = PointerGrid(2048, 64.0)
     rho = random_density(2, seed=12, rank=2)
-    joint = make_joint(rho, [(grid, 1.0)])
-    joint = apply_coupling(joint, CouplingSpec(PI0, 0, 10.0, 1.0))
-    mass = reduced_position_density(joint, 0)
+    _, q_mass, _ = outcome_pointer_densities(rho, PI0, 10.0, grid, 1.0, fourier_basis(2))
+    mass = q_mass.sum(axis=0)
     p_hit = float(mass[grid.positions > 5.0].sum())
     assert abs(p_hit - rho.matrix[0, 0].real) < 1e-3

@@ -37,6 +37,12 @@ class TestPointerGrid:
         with pytest.raises(ValueError):
             PointerGrid(8, 16.0)
 
+    @pytest.mark.parametrize("half_width", [5e-324, 1e308])
+    def test_rejects_a_spacing_that_is_not_finite_and_positive(self, half_width):
+        # 5e-324 over 16 points used to divide by zero in fftfreq
+        with pytest.raises(ValueError, match="grid spacing"):
+            PointerGrid(16, half_width)
+
     def test_hashable(self):
         assert PointerGrid(64, 4.0) == PointerGrid(64, 4.0)
         assert len({PointerGrid(64, 4.0), PointerGrid(64, 4.0)}) == 1
@@ -56,6 +62,17 @@ class TestGaussianPointer:
     def test_annihilated_by_ann_operator(self):
         phi = gaussian_pointer(GRID, 1.0)
         assert abs(expect_ann(phi, 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e155, float("nan")])
+    def test_rejects_a_width_whose_square_is_not_a_normal_float(self, sigma):
+        # 1e-300 used to give NaN amplitudes with only a RuntimeWarning
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            gaussian_pointer(PointerGrid(256, 16.0), sigma)
+
+    def test_normalize_rejects_a_norm_that_is_not_finite(self):
+        for amps in (np.full(16, np.nan), np.full(16, np.inf)):
+            with pytest.raises(ValueError, match="cannot normalize"):
+                PointerState.normalize(PointerGrid(16, 1.0), amps)
 
     def test_grid_too_narrow(self):
         with pytest.raises(ValueError, match="narrow"):

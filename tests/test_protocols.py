@@ -26,7 +26,7 @@ from weakmeas.hilbert import (
     trace_distance,
 )
 from weakmeas.oracle import density_from_triple_exact, dirac_exact, weak_average
-from weakmeas import protocols
+from weakmeas import evolution, protocols
 from weakmeas.protocols import (
     ROUTE_POINTERS,
     ProtocolParams,
@@ -501,27 +501,31 @@ def _call_route(protocol, scheme):
 @pytest.mark.parametrize("protocol, scheme", sorted(ROUTE_POINTERS))
 def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol, scheme):
     """Every chain a route runs couples ROUTE_POINTERS pointers, all on the
-    grid of that count: tensor_pointers of them in the joint state, the rest
-    (one on the Scheme 1 routes) read from a table."""
-    chains = []  # [tensor pointers, table pointers, grids] per joint state built
-    make_joint, table = protocols.make_joint, protocols.last_pointer_moments
+    grid of that count.  Scheme 2 holds them in JointStates of
+    tensor_pointers pointers; every other route reads them from eigenvalue
+    tables (chain_readout) and builds no JointState."""
+    states, chains = [], []  # (pointers, grids) per JointState built / chain read
+    init, readout = evolution.JointState.__init__, protocols.chain_readout
 
-    def record_joint(system, pointers):
-        chains.append([len(pointers), 0, {grid for grid, _ in pointers}])
-        return make_joint(system, pointers)
+    def record_state(self, branches, grids, *args):
+        states.append((len(grids), set(grids)))
+        init(self, branches, grids, *args)
 
-    def record_table(joint, operator, observables, gt, grid, sigma):
-        chains[-1][1] += 1
-        chains[-1][2].add(grid)
-        return table(joint, operator, observables, gt, grid, sigma)
+    def record_chain(system, observables, gts, grid, *args):
+        chains.append((len(observables), {grid}))
+        return readout(system, observables, gts, grid, *args)
 
-    monkeypatch.setattr(protocols, "make_joint", record_joint)
-    monkeypatch.setattr(protocols, "last_pointer_moments", record_table)
+    monkeypatch.setattr(evolution.JointState, "__init__", record_state)
+    monkeypatch.setattr(protocols, "chain_readout", record_chain)
     _call_route(protocol, scheme)
     pointers = ROUTE_POINTERS[protocol, scheme]
     grid = ProtocolParams().grid(pointers)
-    assert chains
-    for tensor, table_read, grids in chains:
-        assert tensor == tensor_pointers(protocol, scheme)
-        assert tensor + table_read == pointers
+    if scheme == "scheme2":
+        assert states and not chains
+        assert tensor_pointers(protocol, scheme) == pointers
+    else:
+        assert chains and not states
+        assert tensor_pointers(protocol, scheme) == 0
+    for count, grids in states + chains:
+        assert count == pointers
         assert grids == {grid}

@@ -158,3 +158,15 @@ def test_estimate_is_plain_record():
     est = sample_protocol(indicator_setting(), ShotPlan(shots=100, seed=5))
     assert isinstance(est, SampledEstimate)
     assert est.shots_position + est.shots_momentum == 100
+
+
+def test_builds_no_joint_state(monkeypatch):
+    """The per-outcome laws come from eigenvalue tables, not a JointState."""
+    from weakmeas import evolution
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_protocol built a JointState")
+
+    monkeypatch.setattr(evolution.JointState, "__init__", refuse)
+    est = sample_protocol(indicator_setting(), ShotPlan(shots=100, seed=5))
+    assert est.shots_position + est.shots_momentum == 100
