@@ -95,11 +95,13 @@ PROTOCOLS = ("wavefunction", "dirac", "density", "product")
 # system row are points^P for the JointState of a route whose tensor carries
 # P pointers (protocols.tensor_pointers, Scheme 2 only), points for the
 # per-outcome pointer laws of a sampled run, and otherwise the 2^P eigenvalue
-# patterns of a chain of P projectors read from tables.  A sampled run
-# draws 2 x shots floats, the bytes of shots amplitudes, so shots is capped
-# at the same number.  2^24 amplitudes are 256 MiB, and a route holds a few
-# such arrays at once.  Larger values used to allocate until the process was
-# killed.
+# patterns of a chain of P projectors read from tables.  A sampled run's
+# plan keeps its shot record for the whole run: 2 x shots sorted float draws
+# and shots int32 ranks, 20 bytes a shot against 16 for an amplitude, so
+# shots is capped at the same number (int32 ranks need shots < 2^31, which
+# sampling.ShotPlan enforces).  2^24 amplitudes are 256 MiB, and a route
+# holds a few such arrays at once.  Larger values used to allocate until the
+# process was killed.
 MAX_AMPLITUDES = 2**24
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
 # The first three columns are text; every later one is a float or empty.
@@ -474,8 +476,8 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         shots = _number(spec["shots"], int, "sampling.shots")
         if shots > MAX_AMPLITUDES:
             raise ConfigError(
-                f"sampling.shots: {shots} shots would draw {2 * shots} floats in one"
-                f" array, above the bytes of MAX_AMPLITUDES = 2^24 amplitudes"
+                f"sampling.shots: {shots} shots would keep {2 * shots} floats and"
+                f" {shots} int32 ranks, above the bytes of MAX_AMPLITUDES = 2^24 amplitudes"
             )
         try:
             sampling = ShotPlan(
@@ -485,8 +487,8 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
                     spec.get("readout_split", 0.5), float, "sampling.readout_split"
                 ),
             )
-        except ValueError as exc:
-            raise ConfigError(f"sampling: {exc}") from exc
+        except ValueError as exc:  # the message starts with the field name
+            raise ConfigError(f"sampling.{exc}") from exc
 
     return Scenario(
         dim=dim,
@@ -579,8 +581,9 @@ def _run_sampled_dirac(scenario: Scenario, params: ProtocolParams):
     basis = fourier_basis(dim)
     rows = []
     for a in range(dim):
-        # One shot record per weak setting: row b of the identity reads
-        # S(a, b) from the same strong outcomes.
+        # One call per weak setting: row b of the identity reads S(a, b)
+        # from the same strong outcomes, and every setting and coupling
+        # reads the plan's one shot record.
         setting = WeakStrongSetting(
             scenario.system, projector(standard_ket(dim, a)), basis, np.eye(dim), params,
         )

@@ -26,16 +26,25 @@ pointer in sum_l <c|V_l psi_b> T_{gt lambda_l} phi on branch b of rho, and
 its position law is sum_b w_b |.|^2 (momentum likewise), read from one
 displaced pointer per eigenvalue (evolution.outcome_pointer_densities).
 
-One record serves every outcome-value row of a setting: with a (V, N)
-stack of values, the per-outcome laws and the shots are built once, and
-each row is averaged over the same record.  Row v of a stack therefore
-gives exactly the estimate of a single-row call with that row.
+One record serves every setting, coupling and outcome-value row of a plan.
+The draws depend on the plan alone, so the plan draws them once, on first
+use, and keeps them sorted (ShotPlan.record): per quadrature, the outcome
+draws in ascending order, and the readout draws in ascending order with the
+rank of each shot's outcome draw.  A call then finds each outcome's shots
+with one boundary search per outcome (the same labels as a per-shot search
+of the outcome CDF), reads their pointer values by inverse CDF on a sorted
+slice, and keeps per outcome and quadrature only the count, sum r and sum
+r^2.  Every row's mean and standard error follow from those sums, so row
+v of a (V, N) stack gives exactly the estimate of a single-row call with
+that row.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,22 +52,88 @@ from .evolution import outcome_pointer_densities
 from .hilbert import OperatorMatrix, StateVector
 from .protocols import ProtocolParams
 
+# Shot ranks are kept as int32.
+MAX_SHOTS = 2**31 - 1
+# Held while a plan draws its record, so that concurrent first calls draw once.
+_RECORD_LOCK = threading.Lock()
+
+
+class QuadratureShots(NamedTuple):
+    """The shots that read one quadrature, ordered by their readout draws.
+
+    outcome_sorted holds their outcome draws in ascending order, and
+    readout_sorted their readout draws in ascending order; outcome_rank[j]
+    is the index in outcome_sorted of the outcome draw of the shot whose
+    readout draw is readout_sorted[j].
+    """
+
+    outcome_sorted: np.ndarray
+    readout_sorted: np.ndarray
+    outcome_rank: np.ndarray
+
+
+def _quadrature_shots(rng: np.random.Generator, size: int) -> QuadratureShots:
+    """The next size shots of the stream: 2 size draws, outcome then readout."""
+    u = rng.random(2 * size)
+    by_outcome = np.argsort(u[0::2])
+    outcome_sorted = u[0::2][by_outcome]
+    rank = np.empty(size, dtype=np.int32)
+    rank[by_outcome] = np.arange(size, dtype=np.int32)
+    del by_outcome  # before the second sort, to keep the build's peak memory down
+    by_readout = np.argsort(u[1::2])
+    shots = QuadratureShots(outcome_sorted, u[1::2][by_readout], rank[by_readout])
+    for array in shots:
+        array.flags.writeable = False
+    return shots
+
 
 @dataclass(frozen=True)
 class ShotPlan:
-    """How many shots, which seed, and the position/momentum shot split."""
+    """How many shots, which seed, and the position/momentum shot split.
+
+    A ValueError names the field it rejects, as "<field>: ...".
+    """
 
     shots: int
     seed: int
     readout_split: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots: must lie in [1, 2^31 - 1], got {self.shots}")
         if not 0.0 <= self.readout_split <= 1.0:
             raise ValueError(
-                f"readout_split must lie in [0, 1], got {self.readout_split}"
+                f"readout_split: must lie in [0, 1], got {self.readout_split}"
             )
+        if 0 < self.readout_split < 1 and self.position_shots in (0, self.shots):
+            raise ValueError(
+                f"readout_split: {self.readout_split} of {self.shots} shots leaves one"
+                " quadrature with zero shots; increase shots or pin readout_split to 0 or 1"
+            )
+
+    @property
+    def position_shots(self) -> int:
+        """Shots [0, position_shots) read position, the rest momentum."""
+        return int(round(self.readout_split * self.shots))
+
+    def record(self) -> tuple[QuadratureShots, QuadratureShots]:
+        """The (position, momentum) shots, drawn on first use and kept on the plan.
+
+        Kept outside the dataclass fields, so equality, hashing and asdict
+        see only (shots, seed, readout_split).
+        """
+        record = self.__dict__.get("_record")
+        if record is None:
+            with _RECORD_LOCK:
+                record = self.__dict__.get("_record")
+                if record is None:
+                    # position shots are the prefix of the stream
+                    rng = np.random.Generator(np.random.Philox(key=self.seed))
+                    n_pos = self.position_shots
+                    record = (_quadrature_shots(rng, n_pos),
+                              _quadrature_shots(rng, self.shots - n_pos))
+                    object.__setattr__(self, "_record", record)
+        return record
 
 
 @dataclass(frozen=True)
@@ -94,16 +169,72 @@ class SampledEstimate:
     shots_momentum: int
 
 
+class _OutcomeSums(NamedTuple):
+    """Per outcome c: shot count, mean pointer reading, and sum of squared
+    deviations from that mean, over the shots of one quadrature."""
+
+    counts: np.ndarray
+    means: np.ndarray
+    squares: np.ndarray
+
+
 def _cell_cdf(mass: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.concatenate(([0.0], np.cumsum(mass)))
     cdf /= cdf[-1]
     return cdf, edges
 
 
+def _outcome_sums(shots: QuadratureShots, outcome_cdf: np.ndarray, laws) -> _OutcomeSums:
+    """Label each shot's outcome and reduce its readouts per outcome.
+
+    The shots of outcome c hold the outcome ranks [bounds[c], bounds[c+1]),
+    which labels them exactly as searchsorted(outcome_cdf, u, side="right")
+    clamped to N - 1 does.  A stable sort by label then leaves each
+    outcome's readout draws as one ascending slice.
+    """
+    n_outcomes = outcome_cdf.size
+    size = shots.readout_sorted.size
+    bounds = np.concatenate(
+        ([0], np.searchsorted(shots.outcome_sorted, outcome_cdf[:-1], side="left"), [size]))
+    counts = np.diff(bounds)
+    label_of_rank = np.repeat(
+        np.arange(n_outcomes, dtype=np.min_scalar_type(n_outcomes - 1)), counts)
+    grouped = shots.readout_sorted[
+        np.argsort(label_of_rank[shots.outcome_rank], kind="stable")]
+    means = np.zeros(n_outcomes)
+    squares = np.zeros(n_outcomes)
+    for c, law in enumerate(laws):
+        # the shots of a law-less outcome read 0: they count, with zero sums
+        if law is None or counts[c] == 0:
+            continue
+        readout = np.interp(grouped[bounds[c]:bounds[c + 1]], *law)
+        total = readout.sum()
+        means[c] = total / counts[c]
+        squares[c] = max(readout @ readout - total * means[c], 0.0)
+    return _OutcomeSums(counts, means, squares)
+
+
+def _row_stats(values: np.ndarray, scale: float, sums: _OutcomeSums) -> tuple[float, float]:
+    """Mean and standard error of scale * values[c] * r over the shots.
+
+    The sum of squared deviations from the mean combines per outcome as
+    scale^2 values[c]^2 squares[c] + counts[c] (scale values[c] means[c] - mean)^2.
+    """
+    size = int(sums.counts.sum())
+    if size == 0:
+        return 0.0, float("inf")
+    outcome_means = scale * values * sums.means
+    mean = float(sums.counts @ outcome_means) / size
+    if size == 1:
+        return mean, float("inf")
+    deviations = (scale * values) ** 2 @ sums.squares + sums.counts @ (outcome_means - mean) ** 2
+    return mean, math.sqrt(float(deviations) / (size - 1)) / math.sqrt(size)
+
+
 def sample_protocol(
     setting: WeakStrongSetting, plan: ShotPlan
 ) -> SampledEstimate | list[SampledEstimate]:
-    """Simulate the exact per-outcome pointer laws once, then draw shots.
+    """Simulate the exact per-outcome pointer laws once, then read the plan's shots.
 
     Returns one estimate for a single row of outcome values, or a list with
     one estimate per row of a (V, N) stack, all from the same shot record.
@@ -120,63 +251,26 @@ def sample_protocol(
     k_sorted = np.fft.fftshift(grid.wavenumbers)
     dk = grid.dk
     k_edges = np.concatenate((k_sorted - dk / 2, [k_sorted[-1] + dk / 2]))
-    laws = [
-        # no law for an outcome of numerically zero probability: its shots read 0
-        None if prob < 1e-14 else (
-            _cell_cdf(q_mass, q_edges), _cell_cdf(np.fft.fftshift(k_mass), k_edges))
-        for prob, q_mass, k_mass in zip(probs, q_masses, k_masses)
-    ]
-
-    n_pos = int(round(plan.readout_split * plan.shots))
-    n_mom = plan.shots - n_pos
-    if 0.0 < plan.readout_split < 1.0 and (n_pos == 0 or n_mom == 0):
-        raise ValueError(
-            "readout split leaves one quadrature with zero shots;"
-            " increase shots or pin readout_split to 0 or 1"
-        )
-
-    rng = np.random.Generator(np.random.Philox(key=plan.seed))
-    u = rng.random(2 * plan.shots)
-    u_outcome = u[0::2]
-    u_readout = u[1::2]
+    # no law for an outcome of numerically zero probability: its shots read 0
+    zero = probs < 1e-14
+    q_laws = [None if z else _cell_cdf(m, q_edges) for z, m in zip(zero, q_masses)]
+    k_laws = [None if z else _cell_cdf(np.fft.fftshift(m), k_edges)
+              for z, m in zip(zero, k_masses)]
 
     outcome_cdf = np.cumsum(probs)
-    shot_outcome = np.minimum(
-        np.searchsorted(outcome_cdf, u_outcome, side="right"), probs.size - 1
-    )
-    # Position shots are the prefix [0, n_pos), momentum shots the rest.
-    quadratures = (slice(0, n_pos), slice(n_pos, None))
-
-    readout = np.zeros(plan.shots)
-    for c_idx, law in enumerate(laws):
-        if law is None:
-            continue
-        for part, (cdf, edges) in zip(quadratures, law):
-            sel = shot_outcome[part] == c_idx
-            readout[part][sel] = np.interp(u_readout[part][sel], cdf, edges)
-
-    q_outcome, k_outcome = (shot_outcome[part] for part in quadratures)
-    q_readout, k_readout = (readout[part] for part in quadratures)
-
-    def _stats(samples: np.ndarray) -> tuple[float, float]:
-        if samples.size == 0:
-            return 0.0, float("inf")
-        if samples.size == 1:
-            return float(samples[0]), float("inf")
-        return (
-            float(samples.mean()),
-            float(samples.std(ddof=1) / np.sqrt(samples.size)),
-        )
+    q_shots, k_shots = plan.record()
+    q_sums = _outcome_sums(q_shots, outcome_cdf, q_laws)
+    k_sums = _outcome_sums(k_shots, outcome_cdf, k_laws)
 
     def _estimate(values: np.ndarray) -> SampledEstimate:
-        re_mean, re_err = _stats(values[q_outcome] * q_readout / gt)
-        im_mean, im_err = _stats(2 * sigma**2 * values[k_outcome] * k_readout / gt)
+        re_mean, re_err = _row_stats(values, 1 / gt, q_sums)
+        im_mean, im_err = _row_stats(values, 2 * sigma**2 / gt, k_sums)
         return SampledEstimate(
             value=complex(re_mean, im_mean),
             stderr_re=re_err,
             stderr_im=im_err,
-            shots_position=n_pos,
-            shots_momentum=n_mom,
+            shots_position=q_shots.readout_sorted.size,
+            shots_momentum=k_shots.readout_sorted.size,
         )
 
     values = np.asarray(setting.outcome_values, dtype=float)

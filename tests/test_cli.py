@@ -177,7 +177,7 @@ class TestRun:
         ]
         rho = random_density(dim, seed=4, rank=2)
         for row, (gt, a, b) in zip(rows, order):
-            # The per-entry route: one draw of the record for each (a, b).
+            # The per-entry route: one single-row call for each (a, b).
             values = [1.0 if i == b else 0.0 for i in range(dim)]
             setting = WeakStrongSetting(rho, projector(standard_ket(dim, a)),
                                         fourier_basis(dim), values,
@@ -187,6 +187,57 @@ class TestRun:
             assert row["im"] == repr(est.value.imag)
             assert row["stderr_re"] == repr(est.stderr_re)
             assert row["stderr_im"] == repr(est.stderr_im)
+
+    SAMPLED_SWEEP = {"dim": 3, "protocol": "dirac",
+                     "state": {"random": {"seed": 4, "rank": 2}},
+                     "sweep": [0.08, 0.06, 0.04, 0.02],
+                     "sampling": {"shots": 3000, "seed": 9, "readout_split": 0.4}}
+
+    def test_sampled_run_draws_the_record_once(self, tmp_path, monkeypatch):
+        """Every setting and coupling of a run, on every pool thread, reads
+        one shot record: one Philox stream for 4 couplings x N settings."""
+        from weakmeas import cli
+
+        philox_keys, calls, philox = [], [], np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            philox_keys.append(kwargs.get("key"))
+            return philox(*args, **kwargs)
+
+        def counting_sample(setting, plan):
+            calls.append(plan)
+            return sample_protocol(setting, plan)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(cli, "sample_protocol", counting_sample)
+        cfg = write_config(tmp_path / "cfg.yaml", self.SAMPLED_SWEEP)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--threads", "4"]) == 0
+        assert len(calls) == 4 * 3
+        assert philox_keys == [9]
+
+    def test_sampled_run_is_independent_of_the_pool(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.yaml", self.SAMPLED_SWEEP)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            assert main(["run", cfg, "--out-dir", str(out), "--threads", threads]) == 0
+            assert main(["report", str(out)]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in (
+                "estimates.csv", "reconstruction.yaml", "report.csv", "report.yaml")})
+        assert outputs[0] == outputs[1]
+
+    def test_starved_readout_split_exits_2(self, tmp_path, capsys):
+        """A split that leaves one quadrature no shots is a config error,
+        not a protocol abort of the first coupling."""
+        doc = {"dim": 2, "protocol": "dirac", "state": {"random": {"seed": 1, "rank": 2}},
+               "sampling": {"shots": 10, "seed": 1, "readout_split": 0.01}}
+        cfg = write_config(tmp_path / "cfg.yaml", doc)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "sampling.readout_split:" in err
+        assert "zero shots" in err
+        assert "protocol abort" not in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
 
 
 YAML_RUNS = {
