@@ -29,8 +29,9 @@ readout constant; `oracle` writes closed-form values only.
 Exit codes: 0 success, 2 config or input errors (including a b0 the route
 or the oracle rejects, a scheme the protocol has no route for, non-finite,
 boolean or fractional numbers, and sizes past MAX_AMPLITUDES), 3 protocol
-aborts (post-selection failure, pointer wrap-around, a route refusing its
-input), 1 anything unexpected.
+aborts (evolution.ProtocolAbort: post-selection failure, probability-sum
+drift, a vanished readout or reconstructed trace; and pointer wrap-around),
+1 anything unexpected, with its traceback.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .evolution import PostselectionError
+from .evolution import MAX_AMPLITUDES, ProtocolAbort
 from .hilbert import (
     DensityMatrix,
     StateVector,
@@ -88,21 +89,6 @@ from .protocols import (
 from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
-# The most complex amplitudes a config may ask a route to hold in one array:
-# dim^2 for rho; branches x dim x cells for the route's per-branch state,
-# the branches bounded by the state's rank; and 2 x points for the two
-# displaced pointers of a projector's table.  The cells per branch and
-# system row are points^P for the JointState of a route whose tensor carries
-# P pointers (protocols.tensor_pointers, Scheme 2 only), points for the
-# per-outcome pointer laws of a sampled run, and otherwise the 2^P eigenvalue
-# patterns of a chain of P projectors read from tables.  A sampled run's
-# plan keeps its shot record for the whole run: 2 x shots sorted float draws
-# and shots int32 ranks, 20 bytes a shot against 16 for an amplitude, so
-# shots is capped at the same number (int32 ranks need shots < 2^31, which
-# sampling.ShotPlan enforces).  2^24 amplitudes are 256 MiB, and a route
-# holds a few such arrays at once.  Larger values used to allocate until the
-# process was killed.
-MAX_AMPLITUDES = 2**24
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
 # The first three columns are text; every later one is a float or empty.
 CSV_COLUMNS = (
@@ -127,10 +113,6 @@ REPORT_COLUMNS = (
 
 class ConfigError(Exception):
     """Config rejected before execution; message names the offending field."""
-
-
-class ProtocolAbort(RuntimeError):
-    """A setting aborted mid-run (post-selection, wrap-around, a route refusing its input)."""
 
 
 @dataclass
@@ -223,7 +205,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -622,7 +604,7 @@ def _run_one_gt(scenario: Scenario, gt: float):
             return _run_sampled_dirac(scenario, params)
         estimates, recon = _route_readout(scenario, params)
         exact = _exact(scenario)
-    except (PostselectionError, WrapAroundError, ValueError, RuntimeError) as exc:
+    except (ProtocolAbort, WrapAroundError) as exc:
         raise ProtocolAbort(f"gt={gt:g}: {exc}") from exc
     rows = [
         _row(
@@ -796,22 +778,26 @@ def cmd_report(args) -> int:
     settings: dict[str, list[dict]] = {}
     for row in rows:
         settings.setdefault(row["setting"], []).append(row)
-
-    summary = []
-    for setting, group in settings.items():
-        group = sorted(group, key=lambda r: r["gt"], reverse=True)
-        gts = [r["gt"] for r in group]
-        values = [complex(r["re"], r["im"]) for r in group]
-        errors = [r["abs_error"] for r in group]
-        oracle = complex(group[0]["oracle_re"], group[0]["oracle_im"])
+    # One fit per group of settings that share their sweep and the points
+    # whose error the slope fit resolves: the same numbers as a fit per setting.
+    groups: dict[tuple, list[list[dict]]] = {}
+    for group in settings.values():
+        group.sort(key=lambda r: r["gt"], reverse=True)
+        key = tuple((r["gt"], r["abs_error"] > 1e-14) for r in group)
+        groups.setdefault(key, []).append(group)
+    summary = {}
+    for key, members in groups.items():
+        gts = [gt for gt, _ in key]
+        values = np.array([[complex(r["re"], r["im"]) for r in g] for g in members]).T
+        errors = np.array([[r["abs_error"] for r in g] for g in members]).T
         try:
-            slope = convergence_slope(gts, errors)
+            slopes = convergence_slope(gts, errors)
         except ValueError:
-            slope = None
-        extrapolated = extrapolate_sweep(gts, values)
-        summary.append(
-            {
-                "setting": setting,
+            slopes = [None] * len(members)
+        for group, extrapolated, slope in zip(members, extrapolate_sweep(gts, values), slopes):
+            oracle = complex(group[0]["oracle_re"], group[0]["oracle_im"])
+            summary[group[0]["setting"]] = {
+                "setting": group[0]["setting"],
                 "points": len(group),
                 "slope": None if slope is None else float(slope),
                 "extrapolated_re": float(extrapolated.real),
@@ -820,7 +806,7 @@ def cmd_report(args) -> int:
                 "oracle_im": float(oracle.imag),
                 "extrapolated_abs_error": float(abs(extrapolated - oracle)),
             }
-        )
+    summary = [summary[setting] for setting in settings]
 
     recon_summary = None
     recon_path = results_dir / "reconstruction.yaml"
@@ -963,7 +949,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolAbort, PostselectionError, WrapAroundError) as exc:
+    except (ProtocolAbort, WrapAroundError) as exc:
         print(f"protocol abort: {exc}", file=sys.stderr)
         return 3
     except Exception:

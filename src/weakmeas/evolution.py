@@ -26,9 +26,12 @@ with one displaced pointer per distinct eigenvalue (two for a projector),
 each computed on the route's grid by the same spectral translation the
 tensor coupling uses.  This is the complex weak-value readout <Q> + i<K> of
 Jozsa, PRA 76, 044103 (2007) with the Gaussian overlaps kept, so the numbers
-are those of the full system-pointer tensor to rounding.  The per-outcome
-pointer laws of shot sampling come from the same patterns
-(outcome_pointer_densities).
+are those of the full system-pointer tensor to rounding.  A chain position
+may list alternatives (the weak settings a route scans): the tables are
+built once over the union of their eigenvalues, so a route reads all its
+settings in one call, about 2^P pattern kets per setting for a chain of P
+projectors.  The per-outcome pointer laws of shot sampling come from the
+same patterns (outcome_pointer_densities).
 
 Scheme 2 couples one pointer to another, which no eigenvalue table
 captures, and still holds a JointState: an ensemble of pure branches, one
@@ -47,7 +50,7 @@ wrap-around below Gaussian tail level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,9 +59,32 @@ from .pointer import PointerGrid, WrapAroundError, gaussian_pointer
 
 HERMITIAN_TOL = 1e-10
 POINTER_VARIABLES = ("Q", "K", "a")
+# The most complex amplitudes a config may ask a route to hold in one array:
+# dim^2 for rho; branches x dim x cells for the route's per-branch state,
+# the branches bounded by the state's rank; and 2 x points for the two
+# displaced pointers of a projector's table.  The cells per branch and
+# system row are points^P for the JointState of a route whose tensor carries
+# P pointers (protocols.tensor_pointers, Scheme 2 only), points for the
+# per-outcome pointer laws of a sampled run, and otherwise the 2^P eigenvalue
+# patterns of a chain of P projectors read from tables.  chain_readout reads
+# its settings in blocks held under this bound (one setting at least).  A
+# sampled run's plan keeps its shot record for the whole run: 2 x shots
+# sorted float draws and shots int32 ranks, 20 bytes a shot against 16 for
+# an amplitude, so shots is capped at the same number (int32 ranks need
+# shots < 2^31, which sampling.ShotPlan enforces).  2^24 amplitudes are
+# 256 MiB, and a route holds a few such arrays at once.  Larger values used
+# to allocate until the process was killed.
+MAX_AMPLITUDES = 2**24
 
 
-class PostselectionError(RuntimeError):
+class ProtocolAbort(RuntimeError):
+    """A route's deliberate abort on one of its own checks: a post-selection
+    that fails, outcome probabilities that drift from 1, a readout or a
+    reconstructed trace that vanishes.  Bad input raises ValueError instead
+    and a wrapped pointer WrapAroundError."""
+
+
+class PostselectionError(ProtocolAbort):
     """Post-selection outcome has (numerically) zero probability."""
 
 
@@ -340,13 +366,6 @@ def apply_conditional_coupling(
     return joint._replace_branches(out, q_shifts=tuple(q_shifts))
 
 
-def _check_postselection(prob: float) -> None:
-    if prob < 1e-14:
-        raise PostselectionError(
-            f"post-selection probability {prob:.3e} is numerically zero"
-        )
-
-
 def _basis_rows(basis: Sequence[StateVector], dim: int) -> np.ndarray:
     """Rows of a complete orthonormal basis, or ValueError."""
     if len(basis) != dim:
@@ -358,9 +377,9 @@ def _basis_rows(basis: Sequence[StateVector], dim: int) -> np.ndarray:
     return rows
 
 
-def _check_probability_sum(total: float) -> None:
+def _check_probability_sum(total: float, where: str = "") -> None:
     if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
+        raise ProtocolAbort(f"outcome probabilities sum to {total}, expected 1{where}")
 
 
 def _check_operators(operators: Sequence[Mapping[int, str]], pointers: int) -> None:
@@ -437,35 +456,101 @@ def joint_ann_moment(joint: JointState, idx1: int, idx2: int, *more: int) -> com
     return complex(np.trace(moment))
 
 
-def _chain_patterns(kets: np.ndarray, observables: Sequence[OperatorMatrix],
-                    gts: Sequence[float], grid: PointerGrid) -> tuple[np.ndarray, list]:
-    """Pattern kets V_l psi_b, shape (B, L, N), and each observable's
-    distinct eigenvalues.
+class _Position(NamedTuple):
+    """One chain position: its alternatives (one when the chain lists a
+    single observable), its coupling, the union of their distinct
+    eigenvalues, and their spectra when all fit in one array (None: each
+    block recomputes its own)."""
 
-    V_l = V^P_{l_P} ... V^1_{l_1} runs over the eigenvalue patterns l of the
-    chain, the first coupling's index slowest, V^j_lambda the spectral
-    projector of observables[j] on its eigenvalue lambda.  Each observable
-    gets, in chain order, the Hermitian check of CouplingSpec and the
-    dimension check and wrap guard of apply_coupling on a fresh pointer.
-    """
+    alternatives: Sequence[OperatorMatrix]
+    gt: float
+    values: np.ndarray
+    spectra: tuple[np.ndarray, np.ndarray] | None
+
+
+def _spectra(position: Sequence[OperatorMatrix], ks: Sequence[int], gt: float,
+             grid: PointerGrid, dim: int,
+             where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (lam, vecs) of the alternatives ks of one position, each after
+    the Hermitian check of CouplingSpec and the dimension check and wrap
+    guard of apply_coupling on a fresh pointer; where(k) names alternative k
+    in a failed check's message."""
+    lam = np.empty((len(ks), dim))
+    vecs = np.empty((len(ks), dim, dim), dtype=complex)
+    for i, k in enumerate(ks):
+        op = position[k]
+        try:
+            _require_hermitian(op)
+            if op.dim != dim:
+                raise ValueError("observable dimension does not match the system")
+        except ValueError as exc:
+            raise ValueError(f"{exc}{where(k)}") from None
+        lam[i], vecs[i] = _eigs(op)
+    for k, reach in zip(ks, abs(gt) * np.max(np.abs(lam), axis=1, initial=0.0)):
+        try:
+            _check_shift(float(reach), grid)
+        except WrapAroundError as exc:
+            raise WrapAroundError(f"{exc}{where(k)}") from None
+    return lam, vecs
+
+
+def _chain_positions(observables, gts: Sequence[float], grid: PointerGrid,
+                     dim: int) -> list[_Position]:
+    """Every alternative of every position checked in chain order (see
+    _spectra), and each position's union of eigenvalues."""
     if len(observables) != len(gts):
         raise ValueError("need one coupling per observable")
+    positions = []
+    for j, (obs, gt) in enumerate(zip(observables, gts)):
+        if isinstance(obs, OperatorMatrix):
+            alternatives, where = (obs,), lambda k: ""
+        else:
+            alternatives, where = obs, lambda k, j=j: f" (chain position {j}, alternative {k})"
+        if len(alternatives) == 0:
+            raise ValueError(f"chain position {j} lists no alternatives")
+        chunk = max(1, MAX_AMPLITUDES // dim**2)
+        lams, spectra = [], None
+        for start in range(0, len(alternatives), chunk):
+            ks = range(start, min(start + chunk, len(alternatives)))
+            spectra = _spectra(alternatives, ks, gt, grid, dim, where)
+            lams.append(spectra[0])
+        # sorted distinct eigenvalues; np.unique would import numpy.ma
+        # (about 1 MiB resident) on its first call
+        values = np.sort(np.concatenate(lams), axis=None)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        keep = spectra if len(alternatives) <= chunk else None
+        positions.append(_Position(alternatives, gt, values, keep))
+    return positions
+
+
+def _chain_patterns(kets: np.ndarray, positions: Sequence[_Position],
+                    settings: Sequence[np.ndarray], grid: PointerGrid) -> np.ndarray:
+    """Pattern kets V_l psi_b of the given settings, shape (B, S, L, N).
+
+    settings[j][s] is the alternative position j takes in setting s.  V_l =
+    V^P_{l_P} ... V^1_{l_1} runs over the eigenvalue patterns l of the chain,
+    the first coupling's index slowest, V^j_lambda the spectral projector of
+    position j's alternative on the value lambda of its union (zero where
+    the alternative lacks that value), applied through the alternative's
+    eigenvectors: V_lambda psi = V [1(lam = lambda) (V^dag psi)].
+    """
     branches, dim = kets.shape
-    amps = kets[:, None, :]
-    spectra = []
-    for obs, gt in zip(observables, gts):
-        _require_hermitian(obs)
-        if obs.dim != dim:
-            raise ValueError("observable dimension does not match the system")
-        lam, vecs = _eigs(obs)
-        _check_shift(abs(gt) * float(np.max(np.abs(lam), initial=0.0)), grid)
-        values, group = np.unique(lam, return_inverse=True)
-        projectors = np.array([
-            vecs[:, group == i] @ vecs[:, group == i].conj().T for i in range(values.size)
-        ])
-        amps = np.einsum("dst,blt->blds", projectors, amps).reshape(branches, -1, dim)
-        spectra.append(values)
-    return amps, spectra
+    amps = kets[:, None, None, :]
+    for position, chosen in zip(positions, settings):
+        if np.all(chosen == chosen[0]):
+            chosen = chosen[:1]  # one alternative for the whole block, broadcast
+        if position.spectra is None:
+            lam, vecs = _spectra(position.alternatives, chosen, position.gt, grid, dim,
+                                 lambda k: "")
+        else:
+            lam, vecs = position.spectra[0][chosen], position.spectra[1][chosen]
+        # (B, S, M, L, N): the eigen-components of every earlier pattern m
+        # that belong to each value of this position, back in the system basis
+        comps = np.matmul(amps, vecs.conj())[:, :, :, None, :]
+        comps = comps * (lam[:, None, None, :] == position.values[:, None])
+        amps = np.matmul(comps, np.swapaxes(vecs, -1, -2)[:, None])
+        amps = amps.reshape(branches, amps.shape[1], -1, dim)
+    return amps
 
 
 def _displaced(phi_hat: np.ndarray, grid: PointerGrid, values: np.ndarray,
@@ -484,29 +569,36 @@ def _pointer_table(shifted: np.ndarray, grid: PointerGrid, sigma: float,
     return applied @ shifted.conj().T * grid.dq
 
 
-def chain_readout(system, observables: Sequence[OperatorMatrix], gts: Sequence[float],
-                  grid: PointerGrid, sigma: float,
+def chain_readout(system, observables, gts: Sequence[float], grid: PointerGrid, sigma: float,
                   outcomes: Sequence[StateVector] | StateVector | None,
                   *operators: Mapping[int, str]) -> tuple[np.ndarray, ...]:
     """Moments of a chain of momentum couplings, read from eigenvalue tables.
 
     observables[j] is coupled to pointer j's momentum with g t = gts[j],
-    first to last, every pointer a Gaussian of width sigma on grid.  Each
-    operator maps pointer index -> variable ("Q", "K" or "a") over distinct
-    pointers, as in system_moments.  outcomes is a complete orthonormal
-    basis (a strong measurement), one post-selected ket, or None (no
-    outcome).  Returns (P, P<A_1>, P<A_2>, ...), arrays over the outcome
-    rows (N for a basis, one otherwise):
+    first to last, every pointer a Gaussian of width sigma on grid.  A
+    position is one Hermitian observable or a sequence of alternatives (the
+    weak settings of a scan), each read as its own chain.  Each operator
+    maps pointer index -> variable ("Q", "K" or "a") over distinct pointers,
+    as in system_moments.  outcomes is a complete orthonormal basis (a
+    strong measurement), one post-selected ket, or None (no outcome).
+    Returns (P, P<A_1>, P<A_2>, ...), arrays with one leading axis per
+    position that lists alternatives, then the outcome rows (N for a basis,
+    one otherwise):
 
         P(c) <A>_c = sum_b w_b sum_{l, m} <c|V_l psi_b> x(l, m) conj(<c|V_m psi_b>),
 
     x(l, m) = prod_j x_j(l_j, m_j) with x_j the table of pointer j's factor
     of A (the overlap table for a pointer A does not read).  These are the
     numbers of system_moments on the coupled JointState to rounding, with
-    no pointer tensor: a projector chain of P pointers costs 2^P pattern
-    kets and two displaced pointers per coupling.  Probabilities are real;
-    a basis keeps the 1e-10 probability-sum check, a post-selected ket the
-    numerically-zero check (PostselectionError).
+    no pointer tensor.  The tables span the union of each position's
+    eigenvalues and are built once per call, from two displaced pointers per
+    coupling of projectors; a chain of P projectors then costs 2^P pattern
+    kets per setting, read in blocks of settings whose arrays stay under
+    MAX_AMPLITUDES.  Probabilities are real; each setting keeps the 1e-10
+    probability-sum check of a basis or the numerically-zero check of a
+    post-selected ket (PostselectionError), and every alternative the
+    checks of _spectra.  A failed check names its setting: one alternative
+    index per position that lists alternatives, in chain order.
     """
     weights, kets = _branches(system)
     dim = kets.shape[1]
@@ -517,29 +609,56 @@ def chain_readout(system, observables: Sequence[OperatorMatrix], gts: Sequence[f
     elif outcomes is not None:
         rows = _basis_rows(outcomes, dim)
     _check_operators(operators, len(observables))
-    amps, spectra = _chain_patterns(kets, observables, gts, grid)
-    if outcomes is not None:
-        amps = amps @ rows.conj().T  # <c|V_l psi_b>, one column per outcome c
+    positions = _chain_positions(observables, gts, grid, dim)
     phi_hat = np.fft.fft(gaussian_pointer(grid, sigma).amps)
-    shifted = [np.fft.ifft(_displaced(phi_hat, grid, values, gt), axis=1)
-               for values, gt in zip(spectra, gts)]
-    out = np.empty((1 + len(operators), amps.shape[2]), dtype=complex)
-    for i, op in enumerate(({}, *operators)):
+    shifted = [np.fft.ifft(_displaced(phi_hat, grid, p.values, p.gt), axis=1)
+               for p in positions]
+    tables = []
+    for op in ({}, *operators):
         table = np.ones((1, 1))
         for j, pointer in enumerate(shifted):
             x = _pointer_table(pointer, grid, sigma, op.get(j))
             # Kronecker product: the earlier pointers' pattern index slowest
             table = np.multiply.outer(table, x).transpose(0, 2, 1, 3)
             table = table.reshape(table.shape[0] * table.shape[1], -1)
-        out[i] = np.einsum("b,blc,lm,bmc->c", weights, amps, table, amps.conj())
-    if outcomes is None:
-        out = out.sum(axis=1, keepdims=True)  # the trace over the system
+        tables.append(table)
+    counts = tuple(len(p.alternatives) for p in positions)
+    total = int(np.prod(counts))
+    patterns = tables[0].shape[0]
+    # a setting's pattern kets, and the eigenvectors of its alternatives
+    per_setting = max(kets.shape[0] * patterns * dim, dim * dim)
+    block = max(1, MAX_AMPLITUDES // per_setting)
+    out = np.empty((len(tables), total, 1 if outcomes is None else rows.shape[0]),
+                   dtype=complex)
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        amps = _chain_patterns(kets, positions, np.unravel_index(flat, counts), grid)
+        if outcomes is not None:
+            amps = amps @ rows.conj().T  # <c|V_l psi_b>, one column per outcome c
+        conj = amps.conj()
+        for i, table in enumerate(tables):
+            moment = np.einsum("b,bslc,lm,bsmc->sc", weights, amps, table, conj)
+            # no outcome: the trace over the system rows
+            out[i, flat] = moment.sum(axis=1, keepdims=True) if outcomes is None else moment
     probs = out[0].real
+    batched = [j for j, obs in enumerate(observables) if not isinstance(obs, OperatorMatrix)]
+
+    def where(s: int) -> str:
+        index = np.unravel_index(s, counts)
+        return f" at setting {','.join(str(index[j]) for j in batched)}" if batched else ""
+
     if isinstance(outcomes, StateVector):
-        _check_postselection(float(probs[0]))
+        low = np.flatnonzero(probs[:, 0] < 1e-14)
+        if low.size:
+            raise PostselectionError(f"post-selection probability {probs[low[0], 0]:.3e}"
+                                     f" is numerically zero{where(low[0])}")
     elif outcomes is not None:
-        _check_probability_sum(float(probs.sum()))
-    return (probs, *out[1:])
+        sums = probs.sum(axis=1)
+        drift = np.flatnonzero(np.abs(sums - 1.0) > 1e-10)
+        if drift.size:
+            _check_probability_sum(float(sums[drift[0]]), where(drift[0]))
+    shape = tuple(counts[j] for j in batched) + out.shape[2:]
+    return (probs.reshape(shape), *(moment.reshape(shape) for moment in out[1:]))
 
 
 def outcome_pointer_densities(system, observable: OperatorMatrix, gt: float,
@@ -560,10 +679,12 @@ def outcome_pointer_densities(system, observable: OperatorMatrix, gt: float,
     """
     weights, kets = _branches(system)
     rows = _basis_rows(basis, kets.shape[1])
-    amps, (values,) = _chain_patterns(kets, [observable], [gt], grid)
+    (position,) = _chain_positions([observable], [gt], grid, kets.shape[1])
+    amps = _chain_patterns(kets, [position], [np.zeros(1, dtype=int)], grid)[:, 0]
     # (B, C, L) outcome amplitudes of each displaced pointer
     amps = np.swapaxes(amps @ rows.conj().T, 1, 2)
-    k_pointers = _displaced(np.fft.fft(gaussian_pointer(grid, sigma).amps), grid, values, gt)
+    k_pointers = _displaced(np.fft.fft(gaussian_pointer(grid, sigma).amps), grid,
+                            position.values, gt)
     q_pointers = np.fft.ifft(k_pointers, axis=1)
     q_mass = np.einsum("b,bcq->cq", weights, np.abs(amps @ q_pointers) ** 2) * grid.dq
     k_mass = np.einsum("b,bck->ck", weights, np.abs(amps @ k_pointers) ** 2)

@@ -24,9 +24,12 @@ the relation is exact at any coupling.
 Every route but Scheme 2 couples a chain of projectors, each to its own
 pointer's momentum, and reads it with evolution.chain_readout: N x N algebra
 over the chain's eigenvalue patterns and a small table of displaced-pointer
-moments per pointer, with no system-pointer tensor.  Each route keeps the
-grid of its pointer count (ROUTE_POINTERS), so the numbers are those of the
-full tensor on that grid to rounding.
+moments per pointer, with no system-pointer tensor.  A route passes the
+weak settings it scans (a, a1, or (a1, a2)) as alternatives at their chain
+positions, so it costs one chain_readout call per coupling, with about 2^P
+pattern kets per setting for P pointers.  Each route keeps the grid of its
+pointer count (ROUTE_POINTERS), so the numbers are those of the full tensor
+on that grid to rounding.
 
 Scheme 2 conventions, fixed numerically against closed-form values on
 random states: with U_D = exp(-i g2 E K2 Q1 t) exp(-i g_D F D1 t),
@@ -44,14 +47,15 @@ protocol refuses scheme2.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .evolution import (
     CouplingSpec,
     PostselectionError,
+    ProtocolAbort,
     apply_conditional_coupling,
     apply_coupling,
     chain_readout,
@@ -228,6 +232,21 @@ def _kappa(gts: Sequence[float], sigma: float) -> float:
     return kappa
 
 
+class _Projectors(Sequence):
+    """projector(kets[i]) for each ket, built when read: the alternatives of
+    a scanned chain position, which chain_readout reads in blocks, so a scan
+    over N settings never holds N dense N x N projectors of its own."""
+
+    def __init__(self, kets: Sequence[StateVector]) -> None:
+        self._kets = kets
+
+    def __len__(self) -> int:
+        return len(self._kets)
+
+    def __getitem__(self, index: int) -> OperatorMatrix:
+        return projector(self._kets[index])
+
+
 def _estimates(values: np.ndarray, names: tuple[str, ...], scheme: str,
                gts: tuple[float, ...], probs: np.ndarray | None = None):
     """One ProtocolEstimate per entry of values, in index order, labelled by
@@ -270,26 +289,22 @@ def direct_wavefunction(
     """
     params = params or ProtocolParams()
     _require_unbiased_b0(b0)
-    n = psi.dim
     gts = params.couplings(1)
     grid = params.grid(ROUTE_POINTERS["wavefunction", "substitution"])
-    raw = np.empty(n, dtype=complex)
-    probs = np.empty(n)
-    for a in range(n):
-        ps, pq, pk = chain_readout(psi, [projector(standard_ket(n, a))], gts, grid,
-                                   params.sigma, b0, {0: "Q"}, {0: "K"})
-        prob = float(ps[0])
-        qf, kf = pq[0] / prob, pk[0] / prob
-        if prob < params.postselect_floor:
-            raise PostselectionError(
-                f"post-selection probability {prob:.3e} below floor"
-                f" {params.postselect_floor:g} at setting a={a}"
-            )
-        raw[a] = weak_value_from_moments(qf.real, kf.real, gts[0], 1.0, params.sigma)
-        probs[a] = prob
+    probs, pq, pk = (x[:, 0] for x in chain_readout(
+        psi, [_Projectors(standard_basis(psi.dim))], gts, grid, params.sigma, b0,
+        {0: "Q"}, {0: "K"}))
+    low = np.flatnonzero(probs < params.postselect_floor)
+    if low.size:
+        raise PostselectionError(
+            f"post-selection probability {probs[low[0]]:.3e} below floor"
+            f" {params.postselect_floor:g} at setting a={low[0]}"
+        )
+    raw = weak_value_from_moments((pq / probs).real, (pk / probs).real, gts[0], 1.0,
+                                  params.sigma)
     norm = np.linalg.norm(raw)
     if norm < 1e-12:
-        raise RuntimeError("weak-value readout vanished for every a")
+        raise ProtocolAbort("weak-value readout vanished for every a")
     normalized = raw / norm
     for amp in normalized:
         if abs(amp) > 1e-6:
@@ -317,23 +332,25 @@ def mixed_state_response(rho, b0: StateVector) -> np.ndarray:
     return b0.amps.conj() * column / denom
 
 
-def scheme1_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
-                         params: ProtocolParams | None = None) -> complex:
+def scheme1_weak_product(system, e_op, f_op,
+                         params: ProtocolParams | None = None) -> complex | np.ndarray:
     """Tr[EF rho] from independent weak couplings of F then E.
 
     Applies exp(-i g2 E K2 t) exp(-i g1 F K1 t) and reads
     kappa * <a1 a2>_f with kappa = (2 sigma/(g1 t)) (2 sigma/(g2 t)).
-    Complex output is expected whenever EF is not Hermitian.
+    Complex output is expected whenever EF is not Hermitian.  e_op and f_op
+    may each be a sequence of alternatives, read in one chain_readout call:
+    the result then has one axis per such operand, F's first.
     """
     params = params or ProtocolParams()
     system, _ = as_system(system)
     gts = params.couplings(2)
     _warn_if_strong(gts[0] * gts[1], params.sigma)
-    _, (moment,) = chain_readout(
+    _, moment = chain_readout(
         system, [f_op, e_op], gts, params.grid(ROUTE_POINTERS["product", "scheme1"]),
         params.sigma, None, {0: "a", 1: "a"},
     )
-    return _kappa(gts, params.sigma) * moment
+    return _kappa(gts, params.sigma) * moment[..., 0]
 
 
 def scheme2_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
@@ -410,36 +427,34 @@ def weak_strong_product(
 def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
     """Estimate every S(a, b) = Tr[pi_b pi_a rho].
 
-    Default route: for each a, one weak pi_a coupling followed by a strong
+    Default route: one weak pi_a coupling per a followed by a strong
     Fourier-basis measurement; the (a, b) entry is P(b) times the weak value
     conditioned on outcome b.  scheme1/scheme2 estimate each entry as a
-    two-pointer product instead.
+    two-pointer product instead.  Every route but scheme2 reads all its
+    settings in one chain_readout call.
     """
     params = params or ProtocolParams()
     system, r = as_system(rho)
     n = r.shape[0]
-    entries = np.zeros((n, n), dtype=complex)
     f_basis = fourier_basis(n)
+    pi_a = _Projectors(standard_basis(n))
     if params.scheme == "substitution":
         gts = params.couplings(1)
         grid = params.grid(ROUTE_POINTERS["dirac", "substitution"])
-        probs = np.empty((n, n))
-        for a in range(n):
-            probs[a], pq, pk = chain_readout(system, [projector(standard_ket(n, a))], gts,
-                                             grid, params.sigma, f_basis, {0: "Q"}, {0: "K"})
-            for b in range(n):
-                if probs[a, b] >= 1e-12:
-                    entries[a, b] = weak_value_from_moments(
-                        pq[b].real, pk[b].real, gts[0], 1.0, params.sigma
-                    )
+        probs, pq, pk = chain_readout(system, [pi_a], gts, grid, params.sigma, f_basis,
+                                      {0: "Q"}, {0: "K"})
+        values = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, params.sigma)
+        entries = np.where(probs >= 1e-12, values, 0.0)
         estimates = _estimates(entries, ("a", "b"), "weak_strong", gts, probs)
     else:
         gts = params.couplings(2)
-        run = scheme1_weak_product if params.scheme == "scheme1" else scheme2_weak_product
-        for a in range(n):
-            f_op = projector(standard_ket(n, a))
-            for b in range(n):
-                entries[a, b] = run(system, projector(f_basis[b]), f_op, params)
+        if params.scheme == "scheme1":
+            entries = scheme1_weak_product(system, _Projectors(f_basis), pi_a, params)
+        else:
+            entries = np.zeros((n, n), dtype=complex)
+            for a, b in np.ndindex(n, n):
+                entries[a, b] = scheme2_weak_product(system, projector(f_basis[b]), pi_a[a],
+                                                     params)
         estimates = _estimates(entries, ("a", "b"), params.scheme, gts)
     atol = 0.05 * max(1.0, (max(gts) / 0.02) ** 2)
     return DiracReadout(DiracDistribution(entries, atol=atol), estimates)
@@ -453,9 +468,10 @@ def direct_density(rho, b0: StateVector | None = None,
     standard-basis readout supplies a2, and P(a2) times the conditioned
     product signal estimates <Pi_{a1 a2}> = <a1|rho|a2>/N.  scheme1 instead
     couples all three projectors to their own pointers and reads the triple
-    moment without any strong measurement.  Every chain is read from
-    eigenvalue tables (chain_readout).  scheme2 is refused: conditioning its
-    readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see module docstring).
+    moment without any strong measurement.  Either route reads every setting
+    from eigenvalue tables in one chain_readout call.  scheme2 is refused:
+    conditioning its readout on a2 mixes in <a2|pi_b0 rho pi_a1|a2> (see
+    module docstring).
     """
     params = params or ProtocolParams()
     system, r = as_system(rho)
@@ -469,34 +485,22 @@ def direct_density(rho, b0: StateVector | None = None,
             " readout converges to (<c|EF rho|c> + <c|E rho F|c>)/2;"
             " use scheme='substitution' or scheme='scheme1'"
         )
-    raw = np.zeros((n, n), dtype=complex)
     e_op = projector(b0)
+    s_basis = standard_basis(n)
+    pi_a = _Projectors(s_basis)
     if params.scheme == "substitution":
         gts = params.couplings(2)
-        kappa = _kappa(gts, params.sigma)
-        s_basis = standard_basis(n)
         grid = params.grid(ROUTE_POINTERS["density", "substitution"])
-        probs = np.empty((n, n))
-        for a1 in range(n):
-            probs[a1], moments = chain_readout(
-                system, [projector(standard_ket(n, a1)), e_op], gts, grid, params.sigma,
-                s_basis, {0: "a", 1: "a"},
-            )
-            for a2 in range(n):
-                if probs[a1, a2] >= 1e-12:
-                    raw[a1, a2] = kappa * complex(moments[a2])
+        probs, moments = chain_readout(system, [pi_a, e_op], gts, grid, params.sigma,
+                                       s_basis, {0: "a", 1: "a"})
+        raw = np.where(probs >= 1e-12, _kappa(gts, params.sigma) * moments, 0.0)
         estimates = _estimates(raw, ("a1", "a2"), "weak_strong", gts, probs)
     else:
         gts = params.couplings(3)
-        kappa = _kappa(gts, params.sigma)
         grid = params.grid(ROUTE_POINTERS["density", "scheme1"])
-        kets = standard_basis(n)
-        for a1, a2 in np.ndindex(n, n):
-            _, (moment,) = chain_readout(
-                system, [projector(kets[a1]), e_op, projector(kets[a2])], gts, grid,
-                params.sigma, None, {0: "a", 1: "a", 2: "a"},
-            )
-            raw[a1, a2] = kappa * moment
+        _, moments = chain_readout(system, [pi_a, e_op, pi_a], gts, grid, params.sigma,
+                                   None, {0: "a", 1: "a", 2: "a"})
+        raw = _kappa(gts, params.sigma) * moments[..., 0]
         estimates = _estimates(raw, ("a1", "a2"), "scheme1", gts)
     scaled = n * raw
     matrix = hermitize_normalize(scaled)
@@ -509,12 +513,12 @@ def direct_density(rho, b0: StateVector | None = None,
 
 
 def hermitize_normalize(matrix: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2 divided by its real trace; RuntimeError when that trace
+    """(M + M^dag)/2 divided by its real trace; ProtocolAbort when that trace
     is below 1e-6 in magnitude."""
     hermitized = (matrix + matrix.conj().T) / 2
     trace = float(np.real(np.trace(hermitized)))
     if abs(trace) < 1e-6:
-        raise RuntimeError(f"reconstructed trace {trace:.3e} too small to normalize")
+        raise ProtocolAbort(f"reconstructed trace {trace:.3e} too small to normalize")
     return hermitized / trace
 
 
@@ -579,11 +583,17 @@ def extrapolate_sweep(gts: Sequence[float], values) -> complex | np.ndarray:
     return complex(v0) if values.ndim == 1 else v0
 
 
-def convergence_slope(gts: Sequence[float], errors: Sequence[float]) -> float:
-    """Fitted slope of log-error against log-coupling."""
+def convergence_slope(gts: Sequence[float], errors) -> float | np.ndarray:
+    """Fitted slope of log-error against log-coupling.
+
+    errors[i] is the error at gts[i], a scalar or a row of k errors; rows
+    are fitted in one polyfit over the points where every error is
+    resolvable (above 1e-14), giving k slopes.
+    """
     gts = np.asarray(gts, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    mask = errors > 1e-14
+    mask = np.all((errors > 1e-14).reshape(gts.size, -1), axis=1)
     if mask.sum() < 2:
         raise ValueError("not enough resolvable error points to fit a slope")
-    return float(np.polyfit(np.log(gts[mask]), np.log(errors[mask]), 1)[0])
+    slope = np.polyfit(np.log(gts[mask]), np.log(errors[mask]), 1)[0]
+    return float(slope) if errors.ndim == 1 else slope

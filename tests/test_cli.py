@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from weakmeas import cli
 from weakmeas.cli import (
+    CSV_COLUMNS,
     MAX_AMPLITUDES,
     OUT_DIR_ENV,
     PROTOCOLS,
@@ -13,6 +15,7 @@ from weakmeas.cli import (
     main,
     resolve_config,
 )
+from weakmeas.evolution import ProtocolAbort
 from weakmeas.hilbert import (
     DensityMatrix,
     fourier_basis,
@@ -27,7 +30,9 @@ from weakmeas.protocols import (
     ROUTE_POINTERS,
     SCHEMES,
     ProtocolParams,
+    convergence_slope,
     direct_density,
+    extrapolate_sweep,
     tensor_pointers,
 )
 from weakmeas.sampling import ShotPlan, WeakStrongSetting, sample_protocol
@@ -310,6 +315,50 @@ class TestReport:
     def test_missing_manifest_rejected(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
+    def test_grouped_fits_equal_one_fit_per_setting(self, tmp_path, density_run):
+        """Settings that share a sweep and their resolvable points are fitted
+        together; every number equals the per-setting fit bit for bit."""
+        rng = np.random.default_rng(8)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.yaml").write_text((density_run / "manifest.yaml").read_text())
+        sweep = [0.08, 0.04, 0.02, 0.01]
+        rows = []
+        for k in range(256):
+            # errors at or below 1e-14 drop out of the slope fit; some
+            # settings keep fewer than two points and no slope
+            errors = 10.0 ** rng.uniform(-16, -2, size=4)
+            for gt, error in zip(rng.permutation(sweep), errors):
+                value = complex(*rng.normal(size=2))
+                rows.append([
+                    "density", "substitution", f"s={k}", repr(float(gt)), repr(value.real),
+                    repr(value.imag), "0.5", "-0.25", repr(float(error)), "", "", ""])
+        import csv
+
+        with (out / "estimates.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(rows)
+        assert main(["report", str(out)]) == 0
+        report = {row["setting"]: row for row in read_csv_rows(out / "report.csv")}
+        assert len(report) == 256
+        slopes = 0
+        for k in range(256):
+            mine = sorted((r for r in rows if r[2] == f"s={k}"), key=lambda r: -float(r[3]))
+            gts = [float(r[3]) for r in mine]
+            errors = [float(r[8]) for r in mine]
+            value = extrapolate_sweep(gts, [complex(float(r[4]), float(r[5])) for r in mine])
+            row = report[f"s={k}"]
+            assert (row["extrapolated_re"], row["extrapolated_im"]) == (
+                repr(value.real), repr(value.imag))
+            try:
+                slope = repr(convergence_slope(gts, errors))
+                slopes += 1
+            except ValueError:
+                slope = ""
+            assert row["slope"] == slope
+        assert 0 < slopes < 256
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["run", "oracle"])
@@ -530,6 +579,16 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
         assert "invalid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loader", ["libyaml", "pure-python"])
+    def test_invalid_yaml_names_its_line_with_either_loader(self, tmp_path, capsys,
+                                                            monkeypatch, loader):
+        if loader == "pure-python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("dim: 2\nprotocol: dirac\nstate: {preset: [unclosed\n")
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid YAML at line 4:")
+
 
 class TestAborts:
     def test_wraparound_exits_3(self, tmp_path, capsys):
@@ -539,6 +598,38 @@ class TestAborts:
         assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "protocol abort" in err and "exceeds guard" in err
+
+    def test_postselection_below_the_floor_exits_3(self, tmp_path, capsys):
+        # <b0|psi> = 1e-4 passes the oracle's check; a coupling this weak
+        # keeps the post-selection probability near 1e-8, below the 1e-6 floor
+        amp = np.sqrt(0.5) * np.array([1.0 + 1e-4, -1.0 + 1e-4])
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "wavefunction", "sweep": [1e-4, 5e-5],
+                            "state": {"amps": [[float(a), 0.0] for a in amp]}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("protocol abort: gt=0.0001: post-selection probability 1.0")
+        assert "below floor 1e-06 at setting a=0" in err
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("a bug"), 1),
+        (RuntimeError("a bug"), 1),
+        (ProtocolAbort("outcome probabilities sum to 2, expected 1"), 3),
+    ])
+    def test_only_protocol_aborts_exit_3(self, tmp_path, capsys, monkeypatch, error, code):
+        def route(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "direct_density", route)
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "density", "state": {"preset": "mixed-qubit"}})
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), "--threads", "1"]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert "Traceback" in err and err.rstrip().endswith(f"{type(error).__name__}: a bug")
+            assert "protocol abort" not in err
+        else:
+            assert err == f"protocol abort: gt=0.08: {error}\n"
 
 
 # Values of mixed types, and a sensible value for each field of the schema.

@@ -2,8 +2,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from weakmeas import evolution
 from weakmeas.evolution import (
     Branch,
     CouplingSpec,
@@ -535,6 +538,91 @@ class TestChainReadout:
             chain_readout(psi, [op], [0.1], GRID, 1.0, None, {1: "Q"})
         with pytest.raises(ValueError, match="variable"):
             chain_readout(psi, [op], [0.1], GRID, 1.0, None, {0: "P"})
+
+
+def random_hermitian(n, seed):
+    """A Hermitian matrix of spectral radius at most 1 with a random spectrum."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = m + m.conj().T
+    return OperatorMatrix(m / np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
+class TestBatchedChainReadout:
+    """Alternatives at a chain position read as the loop of single chains."""
+
+    SIGMA = 1.25
+
+    @settings(max_examples=40, deadline=None)
+    @given(pointers=st.integers(1, 3), rows=st.sampled_from(["fourier", "ket", "none"]),
+           rank=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+    def test_equals_the_loop_of_single_calls(self, pointers, rows, rank, seed, data):
+        system = random_state(3, seed) if rank == 1 else random_density(3, seed, rank)
+        batched = data.draw(st.sets(st.integers(0, pointers - 1), min_size=1), "batched")
+        differ = data.draw(st.sampled_from(sorted(batched)), "differ")
+        observables = []
+        for j in range(pointers):
+            if j == differ:  # spectra differ from one alternative to the next
+                alts = [random_hermitian(3, seed + 7 * k + j) for k in range(3)]
+            else:
+                alts = [projector(random_state(3, seed + 11 * k + j)) for k in range(2)]
+            observables.append(alts if j in batched else alts[0])
+        gts = [0.3 + 0.1 * j for j in range(pointers)]
+        grid = READOUT_GRIDS[pointers]
+        operators = ({0: "Q"}, {pointers - 1: "K"}, dict.fromkeys(range(pointers), "a"))
+        outcomes = outcome_rows(rows)
+        got = chain_readout(system, observables, gts, grid, self.SIGMA, outcomes, *operators)
+        counts = [len(obs) for j, obs in enumerate(observables) if j in batched]
+        for out in got:
+            assert out.shape == (*counts, 3 if rows == "fourier" else 1)
+        for index in np.ndindex(*counts):
+            chosen = dict(zip(sorted(batched), index))
+            chain = [obs[chosen[j]] if j in batched else obs for j, obs in enumerate(observables)]
+            single = chain_readout(system, chain, gts, grid, self.SIGMA, outcomes, *operators)
+            for out, ref in zip(got, single):
+                assert np.max(np.abs(out[index] - ref)) < 1e-12
+
+    # A setting holds 2 branches x (2 x 3 x 2) patterns x 3 rows = 72
+    # amplitudes, and a position's spectra 9 per alternative: 216 reads three
+    # settings a block, 27 one setting a block with every position's spectra
+    # checked three alternatives at a time and recomputed per block.
+    @pytest.mark.parametrize("bound", [216, 27])
+    def test_blocks_under_the_amplitude_bound_read_the_same(self, monkeypatch, bound):
+        system = random_density(3, 4, 2)
+        alts = [projector(random_state(3, k)) for k in range(4)]
+        chain = [alts, random_hermitian(3, 9), alts]
+        args = ([0.3, 0.4, 0.5], READOUT_GRIDS[3], self.SIGMA, None, {0: "a", 1: "a", 2: "a"})
+        whole = chain_readout(system, chain, *args)
+        monkeypatch.setattr(evolution, "MAX_AMPLITUDES", bound)
+        blocks = chain_readout(system, chain, *args)
+        for a, b in zip(whole, blocks):
+            assert a.shape == (4, 4, 1)
+            assert np.max(np.abs(a - b)) < 1e-15
+
+    def test_a_failed_check_names_its_setting(self):
+        psi = standard_ket(2, 0)
+        # only the coupling to |+><+| moves any amplitude onto |1>
+        alts = [projector(fourier_basis(2)[0]), PI0]
+        with pytest.raises(PostselectionError, match="numerically zero at setting 1$"):
+            chain_readout(psi, [alts], [0.02], GRID, 1.0, standard_ket(2, 1))
+        wide = [PI0, OperatorMatrix(np.diag([0.0, 300.0]))]
+        with pytest.raises(WrapAroundError, match=r"\(chain position 1, alternative 1\)$"):
+            chain_readout(psi, [PI0, wide], [0.02, 0.02], GRID, 1.0, None)
+        skew = OperatorMatrix(np.triu(np.ones((2, 2))))
+        with pytest.raises(ValueError, match=r"Hermitian.*\(chain position 0, alternative 2\)$"):
+            chain_readout(psi, [[PI0, PI0, skew]], [0.02], GRID, 1.0, None)
+        with pytest.raises(ValueError, match=r"dimension.*alternative 0\)$"):
+            chain_readout(psi, [[projector(standard_ket(3, 0))]], [0.02], GRID, 1.0, None)
+        with pytest.raises(ValueError, match="lists no alternatives"):
+            chain_readout(psi, [[]], [0.02], GRID, 1.0, None)
+
+    def test_probability_drift_names_its_setting(self, monkeypatch):
+        # A basis that passes _basis_rows but is scaled inside the readout.
+        rows = evolution._basis_rows
+        monkeypatch.setattr(evolution, "_basis_rows", lambda basis, dim: 1.1 * rows(basis, dim))
+        with pytest.raises(evolution.ProtocolAbort, match="expected 1 at setting 0$"):
+            chain_readout(standard_ket(2, 0), [[PI0, PI0]], [0.02], GRID, 1.0,
+                          standard_basis(2))
 
 
 class TestOutcomePointerDensities:

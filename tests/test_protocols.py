@@ -15,7 +15,9 @@ from weakmeas.evolution import (
 )
 from weakmeas.hilbert import (
     DensityMatrix,
+    OperatorMatrix,
     StateVector,
+    fourier_basis,
     fourier_ket,
     projector,
     random_density,
@@ -483,19 +485,25 @@ class TestScheme1FullTensor:
         assert abs(value - full_tensor_product(system, [f_op, e_op], params)) < 1e-12
 
 
-def _call_route(protocol, scheme):
+def _call_route(protocol, scheme, dim=2):
     """The library call behind one (protocol, scheme) route of the CLI."""
-    rho, p = random_density(2, seed=3, rank=2), ProtocolParams(gt=0.01, scheme=scheme)
+    rho, p = random_density(dim, seed=3, rank=2), ProtocolParams(gt=0.01, scheme=scheme)
+    b0, pi0 = fourier_ket(dim, 0), projector(standard_ket(dim, 0))
     if protocol == "wavefunction":
-        return direct_wavefunction(random_state(2, 1), B0, p)
+        return direct_wavefunction(random_state(dim, 1), b0, p)
     if protocol == "dirac":
         return direct_dirac(rho, p)
     if protocol == "density":
-        return direct_density(rho, B0, p)
+        return direct_density(rho, b0, p)
     if scheme == "substitution":
-        return weak_strong_product(rho, PI0, [B0, fourier_ket(2, 1)], [1.0, 0.0], p)
+        return weak_strong_product(rho, pi0, fourier_basis(dim), [1.0] + [0.0] * (dim - 1), p)
     run = scheme1_weak_product if scheme == "scheme1" else scheme2_weak_product
-    return run(rho, PI0, PI0, p)
+    return run(rho, pi0, pi0, p)
+
+
+def _alternatives(position):
+    """The observables a chain position lists: one, or a sequence of them."""
+    return [position] if isinstance(position, OperatorMatrix) else list(position)
 
 
 @pytest.mark.parametrize("protocol, scheme", sorted(ROUTE_POINTERS))
@@ -503,7 +511,9 @@ def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol
     """Every chain a route runs couples ROUTE_POINTERS pointers, all on the
     grid of that count.  Scheme 2 holds them in JointStates of
     tensor_pointers pointers; every other route reads them from eigenvalue
-    tables (chain_readout) and builds no JointState."""
+    tables (chain_readout), one position per pointer, each position one
+    observable or the alternatives of a scanned setting, and builds no
+    JointState."""
     states, chains = [], []  # (pointers, grids) per JointState built / chain read
     init, readout = evolution.JointState.__init__, protocols.chain_readout
 
@@ -512,6 +522,8 @@ def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol
         init(self, branches, grids, *args)
 
     def record_chain(system, observables, gts, grid, *args):
+        for position in observables:
+            assert all(isinstance(op, OperatorMatrix) for op in _alternatives(position))
         chains.append((len(observables), {grid}))
         return readout(system, observables, gts, grid, *args)
 
@@ -529,3 +541,25 @@ def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol
     for count, grids in states + chains:
         assert count == pointers
         assert grids == {grid}
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+@pytest.mark.parametrize("protocol, scheme", sorted(k for k in ROUTE_POINTERS if k[1] != "scheme2"))
+def test_every_table_route_reads_its_settings_in_one_call(monkeypatch, protocol, scheme, dim):
+    """One chain_readout call per route call, whatever the dimension: the
+    scanned settings are alternatives of that call, dim of them at each
+    scanned position."""
+    calls = []
+    readout = protocols.chain_readout
+
+    def record_chain(system, observables, *args):
+        calls.append([len(_alternatives(position)) for position in observables])
+        return readout(system, observables, *args)
+
+    monkeypatch.setattr(protocols, "chain_readout", record_chain)
+    _call_route(protocol, scheme, dim)
+    assert len(calls) == 1
+    scanned = {("wavefunction", "substitution"): [dim], ("dirac", "substitution"): [dim],
+               ("dirac", "scheme1"): [dim, dim], ("density", "substitution"): [dim, 1],
+               ("density", "scheme1"): [dim, 1, dim]}
+    assert calls[0] == scanned.get((protocol, scheme), [1] * ROUTE_POINTERS[protocol, scheme])
