@@ -22,13 +22,17 @@ maximally-mixed (I/N), werner-<p> (p |plus-i><plus-i| + (1-p) I/2).
 `run` emits estimates.csv (one row per setting x gt; estimates.yaml under
 --format structured), reconstruction.yaml, manifest.yaml.  Complex numbers
 serialize as [re, im] pairs and floats keep full repr precision, so files
-re-parse to the in-memory values exactly.  `report` fits convergence slopes
+re-parse to the in-memory values exactly.  Every YAML file is the bytes of
+`yaml.dump(doc, Dumper=CSafeDumper, sort_keys=False)`; `yamlio.dump_yaml`
+writes them directly and calls `yaml.dump` only for a document outside its
+subset (see weakmeas.yamlio).  `report` fits convergence slopes
 and extrapolates the sweep to zero coupling; `calibrate` checks the Scheme 1
 readout constant; `oracle` writes closed-form values only.
 
 Exit codes: 0 success, 2 config or input errors (including a b0 the route
 or the oracle rejects, a scheme the protocol has no route for, non-finite,
-boolean or fractional numbers, and sizes past MAX_AMPLITUDES), 3 protocol
+boolean or fractional numbers, repeated sweep couplings, `run --threads`
+below 1, and sizes past MAX_AMPLITUDES), 3 protocol
 aborts (evolution.ProtocolAbort: post-selection failure, probability-sum
 drift, a vanished readout or reconstructed trace; and pointer wrap-around),
 1 anything unexpected, with its traceback.
@@ -87,6 +91,7 @@ from .protocols import (
     weak_strong_product,
 )
 from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
+from .yamlio import dump_yaml, load_yaml
 
 PROTOCOLS = ("wavefunction", "dirac", "density", "product")
 OUT_DIR_ENV = "WEAKMEAS_OUT_DIR"
@@ -187,25 +192,13 @@ def _entry_to_complex(entry, field: str) -> complex:
     raise ConfigError(f"{field}: expected a number or [re, im] pair, got {entry!r}")
 
 
-def _dump_yaml(doc) -> str:
-    """safe_dump(doc, sort_keys=False) through libyaml when it is available."""
-    return yaml.dump(
-        doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=False
-    )
-
-
-def _load_yaml(text: str):
-    """safe_load(text) through libyaml when it is available."""
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-
-
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = _load_yaml(text)
+        raw = load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -355,6 +348,9 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     sweep = tuple(_number(g, float, "sweep") for g in sweep)
     if any(g <= 0 for g in sweep):
         raise ConfigError("sweep: couplings must be positive")
+    if len(set(sweep)) != len(sweep):
+        # report would fit its extrapolation through a repeated point
+        raise ConfigError(f"sweep: couplings must be distinct, got {list(sweep)}")
 
     pointer = raw.get("pointer") or {}
     if not isinstance(pointer, dict):
@@ -674,6 +670,8 @@ def _manifest(scenario: Scenario, args, threads: int) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
     scenario = resolve_config(load_config(args.config), args.seed)
     out_dir = _resolve_out_dir(args)
     threads = args.threads or os.cpu_count() or 1
@@ -685,7 +683,7 @@ def cmd_run(args) -> int:
 
     if args.format == "structured":
         estimates_path = out_dir / "estimates.yaml"
-        estimates_path.write_text(_dump_yaml({"rows": rows}))
+        estimates_path.write_text(dump_yaml({"rows": rows}))
     else:
         estimates_path = out_dir / "estimates.csv"
         _write_csv(estimates_path, CSV_COLUMNS, rows)
@@ -693,10 +691,10 @@ def cmd_run(args) -> int:
     if scenario.protocol != "product":
         recon_path = out_dir / "reconstruction.yaml"
         recon_path.write_text(
-            _dump_yaml({"protocol": scenario.protocol, "reconstructions": recons})
+            dump_yaml({"protocol": scenario.protocol, "reconstructions": recons})
         )
     manifest_path = out_dir / "manifest.yaml"
-    manifest_path.write_text(_dump_yaml(_manifest(scenario, args, threads)))
+    manifest_path.write_text(dump_yaml(_manifest(scenario, args, threads)))
 
     worst = max((row["abs_error"] for row in rows), default=0.0)
     print(
@@ -715,7 +713,7 @@ def cmd_run(args) -> int:
 def _read_rows(results_dir: Path) -> list[dict]:
     structured = results_dir / "estimates.yaml"
     if structured.exists():
-        return _load_yaml(structured.read_text())["rows"]
+        return load_yaml(structured.read_text())["rows"]
     path = results_dir / "estimates.csv"
     if not path.exists():
         raise ConfigError(f"no estimates.csv or estimates.yaml in {results_dir}")
@@ -770,7 +768,7 @@ def cmd_report(args) -> int:
     manifest_path = results_dir / "manifest.yaml"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.yaml in {results_dir}")
-    manifest = _load_yaml(manifest_path.read_text())
+    manifest = load_yaml(manifest_path.read_text())
     if len(manifest["sweep"]) < 2:
         raise ConfigError("report needs at least two sweep couplings")
     rows = _read_rows(results_dir)
@@ -812,7 +810,7 @@ def cmd_report(args) -> int:
     recon_path = results_dir / "reconstruction.yaml"
     if recon_path.exists():
         recon_summary = _report_reconstruction(
-            manifest, _load_yaml(recon_path.read_text())
+            manifest, load_yaml(recon_path.read_text())
         )
 
     out_dir = Path(args.out_dir) if args.out_dir else results_dir
@@ -821,7 +819,7 @@ def cmd_report(args) -> int:
     _write_csv(report_csv, REPORT_COLUMNS, summary)
     report_yaml = out_dir / "report.yaml"
     report_yaml.write_text(
-        _dump_yaml({"settings": summary, "reconstruction": recon_summary})
+        dump_yaml({"settings": summary, "reconstruction": recon_summary})
     )
 
     for entry in summary:
@@ -892,7 +890,7 @@ def cmd_oracle(args) -> int:
     else:
         doc["value"] = _pairs([exact])[0]
     path = out_dir / "oracle.yaml"
-    path.write_text(_dump_yaml(doc))
+    path.write_text(dump_yaml(doc))
     print(f"wrote {path}")
     return 0
 

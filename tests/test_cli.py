@@ -245,13 +245,34 @@ class TestRun:
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
 
+# Every (protocol, scheme) route, sampled Dirac, and both estimate formats.
 YAML_RUNS = {
     "density": ({"protocol": "density", "state": {"preset": "mixed-qubit"},
                  "sweep": [0.04, 0.02]}, "csv"),
+    "density-scheme1": ({"dim": 2, "protocol": "density", "scheme": "scheme1",
+                         "state": {"random": {"seed": 4, "rank": 2}},
+                         "sweep": [0.04, 0.02]}, "structured"),
+    "dirac": ({"dim": 3, "protocol": "dirac", "state": {"random": {"seed": 2, "rank": 2}},
+               "sweep": [0.04, 0.02]}, "structured"),
+    "dirac-scheme1": ({"dim": 2, "protocol": "dirac", "scheme": "scheme1",
+                       "state": {"preset": "werner-0.3"}, "sweep": [0.04, 0.02]}, "csv"),
+    "dirac-scheme2": ({"dim": 2, "protocol": "dirac", "scheme": "scheme2",
+                       "state": {"preset": "plus-i"}, "sweep": [0.04, 0.02]}, "csv"),
     "dirac-sampled": ({"dim": 2, "protocol": "dirac",
                        "state": {"random": {"seed": 4, "rank": 2}},
                        "sweep": [0.04, 0.02], "sampling": {"shots": 500, "seed": 3}},
                       "csv"),
+    "product": ({"dim": 2, "protocol": "product", "state": {"preset": "plus-i"},
+                 "product": {"e": "fourier-1", "f": "basis-0"}, "sweep": [0.04, 0.02]},
+                "structured"),
+    "product-scheme1": ({"dim": 2, "protocol": "product", "scheme": "scheme1",
+                         "state": {"preset": "mixed-qubit"},
+                         "product": {"e": "fourier-1", "f": "basis-0"},
+                         "sweep": [0.04, 0.02]}, "csv"),
+    "product-scheme2": ({"dim": 2, "protocol": "product", "scheme": "scheme2",
+                         "state": {"preset": "plus-i"},
+                         "product": {"e": "basis-1", "f": "fourier-0"},
+                         "sweep": [0.04, 0.02]}, "csv"),
     "wavefunction": ({"protocol": "wavefunction", "state": {"preset": "plus-i"},
                       "sweep": [0.04, 0.02]}, "structured"),
 }
@@ -271,16 +292,30 @@ def run_and_report(tmp_path, name):
 
 
 class TestYamlOutput:
-    @pytest.mark.parametrize("name", sorted(YAML_RUNS))
-    def test_files_equal_pure_python_safe_dump(self, tmp_path, name):
-        files = run_and_report(tmp_path, name)
-        written = [path for path in files if path.suffix == ".yaml"]
-        assert len(written) >= 4
-        for path in written:
-            text = files[path]
-            assert yaml.safe_dump(yaml.safe_load(text), sort_keys=False) == text, path
+    def test_every_route_is_covered(self):
+        covered = {(doc["protocol"], doc.get("scheme", "substitution"))
+                   for doc, _ in YAML_RUNS.values()}
+        assert covered == set(ROUTE_POINTERS)
 
     @pytest.mark.parametrize("name", sorted(YAML_RUNS))
+    def test_files_equal_pure_python_safe_dump(self, tmp_path, monkeypatch, name):
+        """Each file is PyYAML's safe dump of its own document, with and
+        without libyaml, and no document needed yaml.dump to write it."""
+        def fall_back(*args, **kwargs):
+            raise AssertionError("a CLI document fell back to yaml.dump")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(yaml, "dump", fall_back)
+            files = run_and_report(tmp_path, name)
+        written = [path for path in files if path.suffix == ".yaml"]
+        assert len(written) >= 4 - (YAML_RUNS[name][0]["protocol"] == "product")
+        dumpers = [yaml.SafeDumper] + [d for d in [getattr(yaml, "CSafeDumper", None)] if d]
+        for path in written:
+            text = files[path]
+            for dumper in dumpers:
+                assert yaml.dump(yaml.safe_load(text), Dumper=dumper, sort_keys=False) == text, path
+
+    @pytest.mark.parametrize("name", ["density", "dirac-sampled", "wavefunction"])
     def test_pure_python_fallback_writes_the_same_files(self, tmp_path, monkeypatch,
                                                         name):
         native = run_and_report(tmp_path / "native", name)
@@ -361,6 +396,28 @@ class TestReport:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_repeated_sweep_coupling_exits_2(self, tmp_path, capsys, command):
+        # report used to fit a rank-deficient extrapolation through the repeat
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "wavefunction", "state": {"preset": "plus-i"},
+                            "sweep": [0.04, 0.02, 0.04]})
+        assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep: couplings must be distinct, got [0.04, 0.02, 0.04]\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        # -1 used to exit 1 from ThreadPoolExecutor, and 0 meant every core
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"protocol": "wavefunction", "state": {"preset": "plus-i"}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--threads", threads]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --threads: must be >= 1, got {threads}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_b0_orthogonal_to_the_state_exits_2(self, tmp_path, capsys, command):
         # run used to exit 3 through the oracle call, and oracle to exit 1.
