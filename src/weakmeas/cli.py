@@ -87,7 +87,6 @@ from .protocols import (
     invert_dirac,
     scheme1_weak_product,
     scheme2_weak_product,
-    tensor_pointers,
     weak_strong_product,
 )
 from .sampling import ShotPlan, WeakStrongSetting, sample_protocol
@@ -375,14 +374,13 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
     route_pointers = ROUTE_POINTERS[protocol, scheme]
     points = params.points(route_pointers)
     default_points = replace(params, grid_points=None).points(route_pointers)
-    pointers = tensor_pointers(protocol, scheme)
     sampled = raw.get("sampling") is not None
 
     def check_amplitudes(branches: int, rank_field: str | None) -> None:
         """ConfigError naming the field that takes the largest array the
         route would allocate past MAX_AMPLITUDES."""
         def amplitudes(b: int, m: int) -> int:
-            cells = m**pointers if pointers else m if sampled else 2**route_pointers
+            cells = m if sampled else 2**route_pointers
             return max(dim * dim, b * dim * cells, 2 * m)
 
         if amplitudes(branches, points) <= MAX_AMPLITUDES:

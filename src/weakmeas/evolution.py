@@ -33,15 +33,29 @@ settings in one call, about 2^P pattern kets per setting for a chain of P
 projectors.  The per-outcome pointer laws of shot sampling come from the
 same patterns (outcome_pointer_densities).
 
-Scheme 2 couples one pointer to another, which no eigenvalue table
-captures, and still holds a JointState: an ensemble of pure branches, one
-per eigenvector of rho weighted by its eigenvalue, each a complex tensor of
-shape (N, M_1, ..., M_P) with axis 0 the system and one axis per pointer.
-Its couplings act on the range of the Hermitian system factor only: with V
-the eigenvectors of nonzero eigenvalue, psi -> psi + V[(T_lambda - 1)(V^dag
-psi)].  Its readout is one system-resolved moment per pointer operator,
-G[s, s'] = sum_b w_b <psi_b[s]| A |psi_b[s']> (system_moments), one FFT
-pair per factor; the tests use the tensor as the reference for the tables.
+Scheme 2 couples F to pointer 1 and then E to pointer 2 conditioned on
+pointer 1's position, exp(-i g2 E K2 Q1 t), which shifts pointer 2 by
+gt2 lambda q1 on E's value lambda.  Only <Q2> reads pointer 2 and no strong
+outcome follows, so terms between different values of E vanish in the trace
+over the system, and the readout is the same pattern algebra over the chain
+(F, E) with one q1-indexed table (conditional_readout):
+
+    <Q2> = sum_{lambda, q1} x(gt2 lambda q1) p_lambda(q1) dq,
+    x(d) = <T_d phi| Q |T_d phi>       (displacement_table),
+
+p_lambda(q1) the weight of E's value lambda at pointer-1 position q1 after
+the F coupling.  x is built once per call over the union of E's values.
+
+The full tensor stays as the tests' reference: a JointState is an ensemble
+of pure branches, one per eigenvector of rho weighted by its eigenvalue,
+each a complex tensor of shape (N, M_1, ..., M_P) with axis 0 the system
+and one axis per pointer.  Its couplings (apply_coupling,
+apply_conditional_coupling) act on the range of the Hermitian system factor
+only: with V the eigenvectors of nonzero eigenvalue, psi -> psi +
+V[(T_lambda - 1)(V^dag psi)].  Its readout is one system-resolved moment
+per pointer operator, G[s, s'] = sum_b w_b <psi_b[s]| A |psi_b[s']>
+(system_moments, pointer_moments), one FFT pair per factor.  No route
+builds one.
 
 Accumulated worst-case displacements are tracked per pointer and capped at a
 quarter of the grid extent in the relevant representation, keeping spectral
@@ -63,11 +77,12 @@ POINTER_VARIABLES = ("Q", "K", "a")
 # dim^2 for rho; branches x dim x cells for the route's per-branch state,
 # the branches bounded by the state's rank; and 2 x points for the two
 # displaced pointers of a projector's table.  The cells per branch and
-# system row are points^P for the JointState of a route whose tensor carries
-# P pointers (protocols.tensor_pointers, Scheme 2 only), points for the
-# per-outcome pointer laws of a sampled run, and otherwise the 2^P eigenvalue
-# patterns of a chain of P projectors read from tables.  chain_readout reads
-# its settings in blocks held under this bound (one setting at least).  A
+# system row are points for the per-outcome pointer laws of a sampled run,
+# and otherwise the 2^P eigenvalue patterns of a chain of P projectors read
+# from tables, Scheme 2's pair (F, E) included; no route holds a pointer
+# tensor.  chain_readout and conditional_readout read their settings in
+# blocks held under this bound (one setting at least), and
+# displacement_table its displaced pointers (one at least).  A
 # sampled run's plan keeps its shot record for the whole run: 2 x shots
 # sorted float draws and shots int32 ranks, 20 bytes a shot against 16 for
 # an amplitude, so shots is capped at the same number (int32 ranks need
@@ -221,6 +236,30 @@ def _check_shift(shift: float, grid: PointerGrid) -> None:
         )
 
 
+def _check_kick(kick: float, grid: PointerGrid) -> None:
+    """Wrap guard of a position coupling: accumulated kick <= pi/(4 dq)."""
+    limit = np.pi / grid.dq / 4
+    if kick > limit:
+        raise WrapAroundError(
+            f"accumulated momentum kick {kick:.3g} exceeds guard {limit:.3g}"
+        )
+
+
+def _check_conditional(shift: float, grid: PointerGrid) -> None:
+    """Wrap guard of a conditional coupling: worst-case shift <= L/4."""
+    limit = grid.half_width / 4
+    if shift > limit:
+        raise WrapAroundError(
+            f"worst-case conditional shift {shift:.3g} exceeds guard {limit:.3g}"
+        )
+
+
+def _require_conditional_hermitian(op: OperatorMatrix) -> None:
+    m = op.matrix
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        raise ValueError("conditional coupling requires a Hermitian observable")
+
+
 def _couple_on_range(joint: JointState, vecs: np.ndarray, phase: np.ndarray,
                      fft_axis: int | None) -> list[Branch]:
     """psi + V[(U - 1)(V^dag psi)] per branch, U = phase applied in the
@@ -304,11 +343,7 @@ def apply_coupling(joint: JointState, spec: CouplingSpec) -> JointState:
         _check_shift(q_shifts[idx], grid)
     else:
         k_shifts[idx] += reach
-        limit = np.pi / grid.dq / 4
-        if k_shifts[idx] > limit:
-            raise WrapAroundError(
-                f"accumulated momentum kick {k_shifts[idx]:.3g} exceeds guard {limit:.3g}"
-            )
+        _check_kick(k_shifts[idx], grid)
     ax = idx + 1
     nd = joint.num_pointers + 1
     lam_b = _axis_view(lam, nd, 0)
@@ -335,9 +370,7 @@ def apply_conditional_coupling(
     for idx in (src_pointer, dst_pointer):
         if not 0 <= idx < joint.num_pointers:
             raise ValueError(f"pointer index {idx} out of range")
-    m = e_op.matrix
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("conditional coupling requires a Hermitian observable")
+    _require_conditional_hermitian(e_op)
     gt = g2 * t
     if gt == 0.0:
         return joint
@@ -347,12 +380,7 @@ def apply_conditional_coupling(
     reach = abs(gt) * float(np.max(np.abs(lam), initial=0.0)) * src_grid.half_width
     q_shifts = list(joint.q_shifts)
     q_shifts[dst_pointer] += reach
-    limit = dst_grid.half_width / 4
-    if q_shifts[dst_pointer] > limit:
-        raise WrapAroundError(
-            f"worst-case conditional shift {q_shifts[dst_pointer]:.3g}"
-            f" exceeds guard {limit:.3g}"
-        )
+    _check_conditional(q_shifts[dst_pointer], dst_grid)
     src_ax, dst_ax = src_pointer + 1, dst_pointer + 1
     nd = joint.num_pointers + 1
     phase = np.exp(
@@ -457,74 +485,83 @@ def joint_ann_moment(joint: JointState, idx1: int, idx2: int, *more: int) -> com
 
 
 class _Position(NamedTuple):
-    """One chain position: its alternatives (one when the chain lists a
-    single observable), its coupling, the union of their distinct
-    eigenvalues, and their spectra when all fit in one array (None: each
-    block recomputes its own)."""
+    """One chain position: how many alternatives it lists (one when the
+    chain gives a single observable), the union of their distinct
+    eigenvalues, and spectra(ks), the checked spectra (lam, vecs) of the
+    alternatives ks, kept from the checks when all fit in one array."""
 
-    alternatives: Sequence[OperatorMatrix]
-    gt: float
+    count: int
     values: np.ndarray
-    spectra: tuple[np.ndarray, np.ndarray] | None
+    spectra: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _spectra(position: Sequence[OperatorMatrix], ks: Sequence[int], gt: float,
-             grid: PointerGrid, dim: int,
-             where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(alternatives: Sequence[OperatorMatrix], ks: Sequence[int], dim: int,
+             where: Callable[[int], str], guard: Callable[[float], None],
+             hermitian: Callable[[OperatorMatrix], None]) -> tuple[np.ndarray, np.ndarray]:
     """Spectra (lam, vecs) of the alternatives ks of one position, each after
-    the Hermitian check of CouplingSpec and the dimension check and wrap
-    guard of apply_coupling on a fresh pointer; where(k) names alternative k
-    in a failed check's message."""
+    hermitian(op) and the dimension check of apply_coupling, then
+    guard(max |lambda|), the wrap guard of its coupling on a fresh pointer;
+    where(k) names alternative k in a failed check's message."""
     lam = np.empty((len(ks), dim))
     vecs = np.empty((len(ks), dim, dim), dtype=complex)
     for i, k in enumerate(ks):
-        op = position[k]
+        op = alternatives[k]
         try:
-            _require_hermitian(op)
+            hermitian(op)
             if op.dim != dim:
                 raise ValueError("observable dimension does not match the system")
         except ValueError as exc:
             raise ValueError(f"{exc}{where(k)}") from None
         lam[i], vecs[i] = _eigs(op)
-    for k, reach in zip(ks, abs(gt) * np.max(np.abs(lam), axis=1, initial=0.0)):
+    for k, top in zip(ks, np.max(np.abs(lam), axis=1, initial=0.0)):
         try:
-            _check_shift(float(reach), grid)
+            guard(float(top))
         except WrapAroundError as exc:
             raise WrapAroundError(f"{exc}{where(k)}") from None
     return lam, vecs
 
 
+def _position(obs, j: int, dim: int, guard: Callable[[float], None],
+              hermitian: Callable[[OperatorMatrix], None] = _require_hermitian) -> _Position:
+    """Chain position j, one observable or a sequence of alternatives, with
+    every alternative checked in order (see _spectra)."""
+    if isinstance(obs, OperatorMatrix):
+        alternatives, where = (obs,), lambda k: ""
+    else:
+        alternatives, where = obs, lambda k: f" (chain position {j}, alternative {k})"
+    if len(alternatives) == 0:
+        raise ValueError(f"chain position {j} lists no alternatives")
+
+    def spectra(ks):
+        return _spectra(alternatives, ks, dim, where, guard, hermitian)
+
+    count = len(alternatives)
+    chunk = max(1, MAX_AMPLITUDES // dim**2)
+    lams = []
+    for start in range(0, count, chunk):
+        lam, vecs = spectra(range(start, min(start + chunk, count)))
+        lams.append(lam)
+    # sorted distinct eigenvalues; np.unique would import numpy.ma
+    # (about 1 MiB resident) on its first call
+    values = np.sort(np.concatenate(lams), axis=None)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    if count > chunk:
+        return _Position(count, values, spectra)  # each block recomputes its own
+    return _Position(count, values, lambda ks: (lam[ks], vecs[ks]))
+
+
 def _chain_positions(observables, gts: Sequence[float], grid: PointerGrid,
                      dim: int) -> list[_Position]:
-    """Every alternative of every position checked in chain order (see
-    _spectra), and each position's union of eigenvalues."""
+    """Every alternative of every position checked in chain order against
+    the wrap guard of its momentum coupling (see _spectra)."""
     if len(observables) != len(gts):
         raise ValueError("need one coupling per observable")
-    positions = []
-    for j, (obs, gt) in enumerate(zip(observables, gts)):
-        if isinstance(obs, OperatorMatrix):
-            alternatives, where = (obs,), lambda k: ""
-        else:
-            alternatives, where = obs, lambda k, j=j: f" (chain position {j}, alternative {k})"
-        if len(alternatives) == 0:
-            raise ValueError(f"chain position {j} lists no alternatives")
-        chunk = max(1, MAX_AMPLITUDES // dim**2)
-        lams, spectra = [], None
-        for start in range(0, len(alternatives), chunk):
-            ks = range(start, min(start + chunk, len(alternatives)))
-            spectra = _spectra(alternatives, ks, gt, grid, dim, where)
-            lams.append(spectra[0])
-        # sorted distinct eigenvalues; np.unique would import numpy.ma
-        # (about 1 MiB resident) on its first call
-        values = np.sort(np.concatenate(lams), axis=None)
-        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-        keep = spectra if len(alternatives) <= chunk else None
-        positions.append(_Position(alternatives, gt, values, keep))
-    return positions
+    return [_position(obs, j, dim, lambda top, gt=gt: _check_shift(abs(gt) * top, grid))
+            for j, (obs, gt) in enumerate(zip(observables, gts))]
 
 
 def _chain_patterns(kets: np.ndarray, positions: Sequence[_Position],
-                    settings: Sequence[np.ndarray], grid: PointerGrid) -> np.ndarray:
+                    settings: Sequence[np.ndarray]) -> np.ndarray:
     """Pattern kets V_l psi_b of the given settings, shape (B, S, L, N).
 
     settings[j][s] is the alternative position j takes in setting s.  V_l =
@@ -539,11 +576,7 @@ def _chain_patterns(kets: np.ndarray, positions: Sequence[_Position],
     for position, chosen in zip(positions, settings):
         if np.all(chosen == chosen[0]):
             chosen = chosen[:1]  # one alternative for the whole block, broadcast
-        if position.spectra is None:
-            lam, vecs = _spectra(position.alternatives, chosen, position.gt, grid, dim,
-                                 lambda k: "")
-        else:
-            lam, vecs = position.spectra[0][chosen], position.spectra[1][chosen]
+        lam, vecs = position.spectra(chosen)
         # (B, S, M, L, N): the eigen-components of every earlier pattern m
         # that belong to each value of this position, back in the system basis
         comps = np.matmul(amps, vecs.conj())[:, :, :, None, :]
@@ -551,6 +584,33 @@ def _chain_patterns(kets: np.ndarray, positions: Sequence[_Position],
         amps = np.matmul(comps, np.swapaxes(vecs, -1, -2)[:, None])
         amps = amps.reshape(branches, amps.shape[1], -1, dim)
     return amps
+
+
+def _pattern_moments(weights: np.ndarray, kets: np.ndarray, positions: Sequence[_Position],
+                     tables: Sequence[np.ndarray], rows: np.ndarray | None) -> np.ndarray:
+    """sum_b w_b sum_{l, m} <c|V_l psi_b> table[l, m] conj(<c|V_m psi_b>) for
+    every table, setting (flat, the first position slowest) and outcome row
+    c, or the trace over the system when rows is None: shape (tables,
+    settings, rows or 1).  Settings are read in blocks whose pattern kets and
+    eigenvector stacks stay under MAX_AMPLITUDES (one setting at least)."""
+    counts = tuple(p.count for p in positions)
+    total = int(np.prod(counts))
+    dim = kets.shape[1]
+    # a setting's pattern kets, and the eigenvectors of its alternatives
+    per_setting = max(kets.shape[0] * tables[0].shape[0] * dim, dim * dim)
+    block = max(1, MAX_AMPLITUDES // per_setting)
+    out = np.empty((len(tables), total, 1 if rows is None else rows.shape[0]), dtype=complex)
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        amps = _chain_patterns(kets, positions, np.unravel_index(flat, counts))
+        if rows is not None:
+            amps = amps @ rows.conj().T  # <c|V_l psi_b>, one column per outcome c
+        conj = amps.conj()
+        for i, table in enumerate(tables):
+            moment = np.einsum("b,bslc,lm,bsmc->sc", weights, amps, table, conj)
+            # no outcome: the trace over the system rows
+            out[i, flat] = moment.sum(axis=1, keepdims=True) if rows is None else moment
+    return out
 
 
 def _displaced(phi_hat: np.ndarray, grid: PointerGrid, values: np.ndarray,
@@ -602,6 +662,7 @@ def chain_readout(system, observables, gts: Sequence[float], grid: PointerGrid, 
     """
     weights, kets = _branches(system)
     dim = kets.shape[1]
+    rows = None
     if isinstance(outcomes, StateVector):
         if outcomes.dim != dim:
             raise ValueError("post-selection ket dimension mismatch")
@@ -611,8 +672,8 @@ def chain_readout(system, observables, gts: Sequence[float], grid: PointerGrid, 
     _check_operators(operators, len(observables))
     positions = _chain_positions(observables, gts, grid, dim)
     phi_hat = np.fft.fft(gaussian_pointer(grid, sigma).amps)
-    shifted = [np.fft.ifft(_displaced(phi_hat, grid, p.values, p.gt), axis=1)
-               for p in positions]
+    shifted = [np.fft.ifft(_displaced(phi_hat, grid, p.values, gt), axis=1)
+               for p, gt in zip(positions, gts)]
     tables = []
     for op in ({}, *operators):
         table = np.ones((1, 1))
@@ -622,25 +683,9 @@ def chain_readout(system, observables, gts: Sequence[float], grid: PointerGrid, 
             table = np.multiply.outer(table, x).transpose(0, 2, 1, 3)
             table = table.reshape(table.shape[0] * table.shape[1], -1)
         tables.append(table)
-    counts = tuple(len(p.alternatives) for p in positions)
-    total = int(np.prod(counts))
-    patterns = tables[0].shape[0]
-    # a setting's pattern kets, and the eigenvectors of its alternatives
-    per_setting = max(kets.shape[0] * patterns * dim, dim * dim)
-    block = max(1, MAX_AMPLITUDES // per_setting)
-    out = np.empty((len(tables), total, 1 if outcomes is None else rows.shape[0]),
-                   dtype=complex)
-    for start in range(0, total, block):
-        flat = np.arange(start, min(start + block, total))
-        amps = _chain_patterns(kets, positions, np.unravel_index(flat, counts), grid)
-        if outcomes is not None:
-            amps = amps @ rows.conj().T  # <c|V_l psi_b>, one column per outcome c
-        conj = amps.conj()
-        for i, table in enumerate(tables):
-            moment = np.einsum("b,bslc,lm,bsmc->sc", weights, amps, table, conj)
-            # no outcome: the trace over the system rows
-            out[i, flat] = moment.sum(axis=1, keepdims=True) if outcomes is None else moment
+    out = _pattern_moments(weights, kets, positions, tables, rows)
     probs = out[0].real
+    counts = tuple(p.count for p in positions)
     batched = [j for j, obs in enumerate(observables) if not isinstance(obs, OperatorMatrix)]
 
     def where(s: int) -> str:
@@ -659,6 +704,96 @@ def chain_readout(system, observables, gts: Sequence[float], grid: PointerGrid, 
             _check_probability_sum(float(sums[drift[0]]), where(drift[0]))
     shape = tuple(counts[j] for j in batched) + out.shape[2:]
     return (probs.reshape(shape), *(moment.reshape(shape) for moment in out[1:]))
+
+
+def displacement_table(grid: PointerGrid, sigma: float, shifts) -> np.ndarray:
+    """x(d) = <T_d phi| Q |T_d phi> for every shift d of shifts (any shape).
+
+    phi is the Gaussian of width sigma on grid and T_d the spectral
+    translation of apply_coupling, so x(d) = d in the continuum and on a
+    grid that holds the displaced pointer.  Each distinct shift is
+    displaced once (a zero eigenvalue gives a row of zero shifts), in blocks
+    of pointers under MAX_AMPLITUDES (one pointer at least).
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    # distinct shifts by sorting; np.unique would import numpy.ma
+    order = np.argsort(shifts, axis=None)
+    ordered = shifts.ravel()[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    phi_hat = np.fft.fft(gaussian_pointer(grid, sigma).amps)
+    # fftfreq order: the wavenumbers past M/2 negate those below it, so
+    # their phases are conjugates
+    half = grid.points // 2 + 1
+    x = np.empty(distinct.size)
+    block = max(1, MAX_AMPLITUDES // grid.points)
+    for start in range(0, distinct.size, block):
+        phase = np.exp(-1j * distinct[start:start + block, None] * grid.wavenumbers[:half])
+        phase = np.concatenate((phase, phase[:, half - 2:0:-1].conj()), axis=1)
+        shifted = np.fft.ifft(phi_hat * phase, axis=1)
+        x[start:start + block] = np.abs(shifted) ** 2 @ grid.positions * grid.dq
+    out = np.empty(shifts.size)
+    out[order] = x[np.cumsum(first) - 1]
+    return out.reshape(shifts.shape)
+
+
+def conditional_readout(system, f_op, e_op, gt1: float, gt2: float, grid: PointerGrid,
+                        sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """<Q2> of Scheme 2 in both variants, read from a q1-indexed table.
+
+    F is coupled to pointer 1's momentum K1 (variant K) or position Q1
+    (variant Q) with g t = gt1, then E conditionally to pointer 2,
+    exp(-i gt2 E K2 Q1); both pointers are Gaussians of width sigma on
+    grid.  f_op and e_op are each a Hermitian observable or a sequence of
+    alternatives.  Returns (<Q2>_K, <Q2>_Q), real arrays with one axis per
+    operand that lists alternatives, F's first.
+
+    The conditional coupling shifts pointer 2 by gt2 lambda q1 on E's value
+    lambda.  Only <Q2> reads pointer 2, and terms between different values
+    of E vanish in the trace over the system, so
+
+        <Q2> = sum_b w_b sum_{f, f', lambda} <V_lambda V_f' psi_b|V_lambda V_f psi_b> y_lambda(f, f'),
+        y_lambda(f, f') = sum_{q1} chi_f(q1) conj(chi_f'(q1)) x(gt2 lambda q1) dq,
+
+    with chi_f = T_{gt1 f} phi (K) or exp(-i gt1 f Q) phi (Q) the first
+    pointer after F's value f and x the displacement_table, built once per
+    call over the union of E's values and shared by both variants.  The
+    pattern kets V_lambda V_f psi_b are those of chain_readout for the
+    chain (F, E).  These are the numbers of pointer_moments on the two-pointer
+    JointState after apply_coupling and apply_conditional_coupling to
+    rounding, with no pointer tensor.  Every alternative of F gets the
+    Hermitian and dimension checks and the shift and kick guards of
+    apply_coupling, then every alternative of E the checks of
+    apply_conditional_coupling, its reach gt2 max|lambda| half_width; a
+    failed check names its alternative as chain_readout does.
+    """
+    weights, kets = _branches(system)
+    dim = kets.shape[1]
+
+    def f_guard(top: float) -> None:
+        _check_shift(abs(gt1) * top, grid)
+        _check_kick(abs(gt1) * top, grid)
+
+    f_pos = _position(f_op, 0, dim, f_guard)
+    e_pos = _position(e_op, 1, dim,
+                      lambda top: _check_conditional(abs(gt2) * top * grid.half_width, grid),
+                      _require_conditional_hermitian)
+    phi = gaussian_pointer(grid, sigma).amps
+    chis = (np.fft.ifft(_displaced(np.fft.fft(phi), grid, f_pos.values, gt1), axis=1),
+            phi * np.exp(-1j * gt1 * f_pos.values[:, None] * grid.positions))
+    x = displacement_table(grid, sigma, gt2 * e_pos.values[:, None] * grid.positions)
+    patterns = f_pos.values.size * e_pos.values.size
+    same_value = np.eye(e_pos.values.size)[None, :, None, :]
+    tables = []
+    for chi in chis:
+        y = np.einsum("fq,gq,lq->flg", chi, chi.conj(), x) * grid.dq
+        # pattern (f, lambda), F's value slowest, paired only with its own lambda
+        tables.append((y[..., None] * same_value).reshape(patterns, patterns))
+    out = _pattern_moments(weights, kets, [f_pos, e_pos], tables, None)
+    shape = tuple(p.count for p, op in zip((f_pos, e_pos), (f_op, e_op))
+                  if not isinstance(op, OperatorMatrix))
+    return tuple(moment[:, 0].real.reshape(shape) for moment in out)
 
 
 def outcome_pointer_densities(system, observable: OperatorMatrix, gt: float,
@@ -680,7 +815,7 @@ def outcome_pointer_densities(system, observable: OperatorMatrix, gt: float,
     weights, kets = _branches(system)
     rows = _basis_rows(basis, kets.shape[1])
     (position,) = _chain_positions([observable], [gt], grid, kets.shape[1])
-    amps = _chain_patterns(kets, [position], [np.zeros(1, dtype=int)], grid)[:, 0]
+    amps = _chain_patterns(kets, [position], [np.zeros(1, dtype=int)])[:, 0]
     # (B, C, L) outcome amplitudes of each displaced pointer
     amps = np.swapaxes(amps @ rows.conj().T, 1, 2)
     k_pointers = _displaced(np.fft.fft(gaussian_pointer(grid, sigma).amps), grid,

@@ -24,12 +24,14 @@ the relation is exact at any coupling.
 Every route but Scheme 2 couples a chain of projectors, each to its own
 pointer's momentum, and reads it with evolution.chain_readout: N x N algebra
 over the chain's eigenvalue patterns and a small table of displaced-pointer
-moments per pointer, with no system-pointer tensor.  A route passes the
-weak settings it scans (a, a1, or (a1, a2)) as alternatives at their chain
-positions, so it costs one chain_readout call per coupling, with about 2^P
-pattern kets per setting for P pointers.  Each route keeps the grid of its
-pointer count (ROUTE_POINTERS), so the numbers are those of the full tensor
-on that grid to rounding.
+moments per pointer, with no system-pointer tensor.  Scheme 2 reads the same
+patterns of its pair (F, E) with evolution.conditional_readout, whose table
+holds the second pointer's mean displacement at each first-pointer position
+q1.  A route passes the weak settings it scans (a, a1, (a, b) or (a1, a2))
+as alternatives at their chain positions, so it costs one readout call per
+coupling, with about 2^P pattern kets per setting for P pointers.  Each
+route keeps the grid of its pointer count (ROUTE_POINTERS), so the numbers
+are those of the full tensor on that grid to rounding.
 
 Scheme 2 conventions, fixed numerically against closed-form values on
 random states: with U_D = exp(-i g2 E K2 Q1 t) exp(-i g_D F D1 t),
@@ -53,14 +55,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import (
-    CouplingSpec,
     PostselectionError,
     ProtocolAbort,
-    apply_conditional_coupling,
-    apply_coupling,
     chain_readout,
-    make_joint,
-    pointer_moments,
+    conditional_readout,
     weak_value_from_moments,
 )
 from .hilbert import (
@@ -81,8 +79,9 @@ DEFAULT_SWEEP = (0.08, 0.04, 0.02, 0.01)
 DEFAULT_GRID_POINTS = {1: 512, 2: 256, 3: 64}
 SCHEMES = ("substitution", "scheme1", "scheme2")
 # Pointers each (protocol, scheme) route couples; its grid is
-# ProtocolParams.grid of that count.  Density via scheme2 is refused (see
-# direct_density), so it has no entry.
+# ProtocolParams.grid of that count, Scheme 2's two pointers included,
+# though it reads them from a q1-indexed table.  Density via scheme2 is
+# refused (see direct_density), so it has no entry.
 ROUTE_POINTERS = {
     ("wavefunction", "substitution"): 1,
     ("dirac", "substitution"): 1,
@@ -96,13 +95,6 @@ ROUTE_POINTERS = {
 }
 
 
-def tensor_pointers(protocol: str, scheme: str) -> int:
-    """Pointers a route's joint tensor carries: Scheme 2 couples one pointer
-    to another and holds both in a JointState; every other route reads its
-    pointers from eigenvalue tables (chain_readout) and holds none."""
-    return ROUTE_POINTERS[protocol, scheme] if scheme == "scheme2" else 0
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Coupling strengths and pointer discretization for one protocol run.
@@ -111,9 +103,11 @@ class ProtocolParams:
     Grid size defaults depend on how many pointers the route couples (512
     for one, 256 for two, 64 for three) and the half-width defaults to 16
     sigma.  The routes read their pointers from tables of a few displaced
-    pointers on this grid (chain_readout), so the size no longer bounds
-    memory; it is kept per pointer count so that every route's numbers are
-    those of a full system-pointer tensor on the same grid.
+    pointers on this grid (chain_readout; for Scheme 2, conditional_readout,
+    one displaced second pointer per first-pointer cell and value of E), so
+    the size no longer bounds memory; it is kept per pointer count so that
+    every route's numbers are those of a full system-pointer tensor on the
+    same grid.
     """
 
     gt: float = 0.02
@@ -353,30 +347,27 @@ def scheme1_weak_product(system, e_op, f_op,
     return _kappa(gts, params.sigma) * moment[..., 0]
 
 
-def scheme2_weak_product(system, e_op: OperatorMatrix, f_op: OperatorMatrix,
-                         params: ProtocolParams | None = None) -> complex:
+def scheme2_weak_product(system, e_op, f_op,
+                         params: ProtocolParams | None = None) -> complex | np.ndarray:
     """Tr[EF rho] from a conditional coupling, one variant per quadrature.
 
-    Run 1 couples F to K1 and reads Re from <Q2>/(g_K g2 t^2); run 2 couples
-    F to Q1 and reads Im from <Q2>/(2 g_Q g2 t^2 sigma1^2).  See the module
-    docstring for how the D = Q convention was pinned down.
+    The K variant couples F to K1 and reads Re from <Q2>/(g_K g2 t^2); the Q
+    variant couples F to Q1 and reads Im from <Q2>/(2 g_Q g2 t^2 sigma1^2).
+    See the module docstring for how the D = Q convention was pinned down.
+    Both come from one evolution.conditional_readout call on a table of
+    pointer-2 displacements indexed by q1.  e_op and f_op may each be a
+    sequence of alternatives: the result then has one axis per such
+    operand, F's first.
     """
     params = params or ProtocolParams()
     system, _ = as_system(system)
     gt1, gt2 = params.couplings(2)
     sigma = params.sigma
     _warn_if_strong(gt1 * gt2, sigma)
-    grid = params.grid(2)
-
-    def run(variable: str) -> float:
-        joint = make_joint(system, [(grid, sigma), (grid, sigma)])
-        joint = apply_coupling(joint, CouplingSpec(f_op, 0, gt1, 1.0, variable))
-        joint = apply_conditional_coupling(joint, e_op, 0, 1, gt2, 1.0)
-        return pointer_moments(joint, 1)[0]
-
-    re = run("K") / (gt1 * gt2)
-    im = run("Q") / (2 * gt1 * gt2 * sigma**2)
-    return complex(re, im)
+    q_k, q_q = conditional_readout(system, f_op, e_op, gt1, gt2,
+                                   params.grid(ROUTE_POINTERS["product", "scheme2"]), sigma)
+    value = q_k / (gt1 * gt2) + 1j * (q_q / (2 * gt1 * gt2 * sigma**2))
+    return complex(value) if value.ndim == 0 else value
 
 
 def weak_strong_product(
@@ -430,8 +421,9 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
     Default route: one weak pi_a coupling per a followed by a strong
     Fourier-basis measurement; the (a, b) entry is P(b) times the weak value
     conditioned on outcome b.  scheme1/scheme2 estimate each entry as a
-    two-pointer product instead.  Every route but scheme2 reads all its
-    settings in one chain_readout call.
+    two-pointer product instead, with E = pi_b and F = pi_a as alternatives.
+    Every route reads all N^2 settings in one readout call (chain_readout,
+    or conditional_readout for scheme2).
     """
     params = params or ProtocolParams()
     system, r = as_system(rho)
@@ -448,13 +440,8 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
         estimates = _estimates(entries, ("a", "b"), "weak_strong", gts, probs)
     else:
         gts = params.couplings(2)
-        if params.scheme == "scheme1":
-            entries = scheme1_weak_product(system, _Projectors(f_basis), pi_a, params)
-        else:
-            entries = np.zeros((n, n), dtype=complex)
-            for a, b in np.ndindex(n, n):
-                entries[a, b] = scheme2_weak_product(system, projector(f_basis[b]), pi_a[a],
-                                                     params)
+        product = scheme1_weak_product if params.scheme == "scheme1" else scheme2_weak_product
+        entries = product(system, _Projectors(f_basis), pi_a, params)
         estimates = _estimates(entries, ("a", "b"), params.scheme, gts)
     atol = 0.05 * max(1.0, (max(gts) / 0.02) ** 2)
     return DiracReadout(DiracDistribution(entries, atol=atol), estimates)

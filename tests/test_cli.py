@@ -33,7 +33,6 @@ from weakmeas.protocols import (
     convergence_slope,
     direct_density,
     extrapolate_sweep,
-    tensor_pointers,
 )
 from weakmeas.sampling import ShotPlan, WeakStrongSetting, sample_protocol
 
@@ -430,14 +429,16 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    # The density route reads its pointers from tables, so the pointer.points
-    # and state.random.rank cases need sizes that still pass the ceiling
-    # there: two displaced pointers of 2^24 cells, and Scheme 2's tensor.
+    # Every route reads its pointers from tables, so the pointer.points and
+    # state.random.rank cases need sizes that still pass the ceiling there:
+    # two displaced pointers of 2^24 cells, and a sampled run's per-outcome
+    # pointer laws, 16 x 16 x 2^17 amplitudes at full rank.
     @pytest.mark.parametrize("edit, field", [
         ({"dim": 1e9}, "dim"),
         ({"pointer": {"points": 2**24}}, "pointer.points"),
-        ({"dim": 64, "protocol": "dirac", "scheme": "scheme2",
-          "state": {"random": {"seed": 1, "rank": 64}}}, "state.random.rank"),
+        ({"dim": 16, "protocol": "dirac", "pointer": {"points": 2**17},
+          "sampling": {"seed": 1, "shots": 10},
+          "state": {"random": {"seed": 1, "rank": 16}}}, "state.random.rank"),
         ({"dim": None, "state": {"amps": [1.0] + [0.0] * 4096}}, "state"),
     ])
     def test_allocation_ceiling_names_the_field(self, tmp_path, capsys, edit, field):
@@ -452,21 +453,32 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {field}: ")
         assert "MAX_AMPLITUDES" in err
 
-    def test_allocation_ceiling_counts_the_tensor_pointers(self):
-        # Only Scheme 2 holds a pointer tensor: 64 x 64 x 256^2 amplitudes at
-        # full rank.  The table routes hold 2^P eigenvalue patterns per branch
-        # and row, 64 x 64 x 8 for the Scheme 1 density.
+    def test_allocation_ceiling_counts_the_eigenvalue_patterns(self):
+        # No route holds a pointer tensor.  The table routes hold 2^P
+        # eigenvalue patterns per branch and row: 64 x 64 x 8 for the Scheme 1
+        # density and 64 x 64 x 4 for Scheme 2, whose two-pointer JointState
+        # of 64 x 64 x 256^2 amplitudes used to refuse this config.
         config = {"dim": 64, "protocol": "density", "scheme": "scheme1",
                   "state": {"random": {"seed": 1, "rank": 64}}}
         assert resolve_config(config).dim == 64
         assert resolve_config({**config, "scheme": "substitution"}).dim == 64
         scheme2 = {**config, "protocol": "dirac", "scheme": "scheme2"}
         assert 64 * 64 * 256**2 > MAX_AMPLITUDES
-        with pytest.raises(ConfigError, match="^state.random.rank: "):
-            resolve_config(scheme2)
-        with_rank = {**scheme2, "state": {"random": {"seed": 1, "rank": 4}}}
-        assert 4 * 64 * 256**2 == MAX_AMPLITUDES
-        assert resolve_config(with_rank).scheme == "scheme2"
+        assert resolve_config(scheme2).scheme == "scheme2"
+        assert resolve_config({**scheme2, "protocol": "product",
+                               "product": {"e": "fourier-1", "f": "basis-0"}}).dim == 64
+
+    def test_scheme2_product_past_the_conditional_guard_exits_3(self, tmp_path, capsys):
+        # the conditional reach gt2 max|lambda_E| L = 0.3 x 16 exceeds L/4 = 4
+        cfg = write_config(tmp_path / "cfg.yaml",
+                           {"dim": 2, "protocol": "product", "scheme": "scheme2",
+                            "product": {"e": "fourier-1", "f": "basis-0"},
+                            "sweep": [0.3, 0.02], "state": {"preset": "plus-i"}})
+        with pytest.warns(RuntimeWarning, match="weak-product regime"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "protocol abort: gt=0.3: worst-case conditional shift 4.8 exceeds guard 4\n" in err
+        assert "Traceback" not in err
 
     def test_rank_two_density_at_dim_32_runs(self, tmp_path):
         # The pointer tensor of this route used to be 2 x 32 x 256^2
@@ -764,14 +776,13 @@ def test_resolve_config_resolves_or_names_the_field(raw):
         return
     assert scenario.protocol in PROTOCOLS
     assert scenario.rho.shape == (scenario.dim, scenario.dim)
-    # What the route allocates: Scheme 2's pointer tensor, a sampled run's
-    # per-outcome pointer laws and shot draws, or the 2^P eigenvalue
-    # patterns of a table route, and two displaced pointers per table.
+    # What the route allocates: a sampled run's per-outcome pointer laws and
+    # shot draws, or the 2^P eigenvalue patterns of a table route (Scheme 2
+    # included), and two displaced pointers per table.
     branches = np.count_nonzero(np.linalg.eigvalsh(scenario.rho) > 1e-12)
     pointers = ROUTE_POINTERS[scenario.protocol, scenario.scheme]
     points = scenario.params.points(pointers)
-    tensor = tensor_pointers(scenario.protocol, scenario.scheme)
-    cells = points**tensor if tensor else points if scenario.sampling else 2**pointers
+    cells = points if scenario.sampling else 2**pointers
     assert max(scenario.dim**2, branches * scenario.dim * cells, 2 * points) <= MAX_AMPLITUDES
     if scenario.sampling:
         assert scenario.sampling.shots <= MAX_AMPLITUDES

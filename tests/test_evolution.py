@@ -15,6 +15,8 @@ from weakmeas.evolution import (
     apply_conditional_coupling,
     apply_coupling,
     chain_readout,
+    conditional_readout,
+    displacement_table,
     joint_ann_moment,
     make_joint,
     outcome_pointer_densities,
@@ -27,6 +29,7 @@ from weakmeas.hilbert import (
     OperatorMatrix,
     StateVector,
     fourier_basis,
+    fourier_ket,
     projector,
     random_density,
     random_state,
@@ -623,6 +626,121 @@ class TestBatchedChainReadout:
         with pytest.raises(evolution.ProtocolAbort, match="expected 1 at setting 0$"):
             chain_readout(standard_ket(2, 0), [[PI0, PI0]], [0.02], GRID, 1.0,
                           standard_basis(2))
+
+
+def tensor_conditional(system, f_op, e_op, gt1, gt2, grid, sigma):
+    """conditional_readout on the full tensor: per variant, make_joint,
+    apply_coupling of F to K1 or Q1, apply_conditional_coupling of E, then
+    <Q2> from pointer_moments."""
+    out = []
+    for variable in ("K", "Q"):
+        joint = make_joint(system, [(grid, sigma)] * 2)
+        joint = apply_coupling(joint, CouplingSpec(f_op, 0, gt1, 1.0, variable))
+        joint = apply_conditional_coupling(joint, e_op, 0, 1, gt2, 1.0)
+        out.append(pointer_moments(joint, 1)[0])
+    return tuple(out)
+
+
+def degenerate_hermitian(values, seed):
+    """U diag(values) U^dag for a random unitary U: zero and repeated
+    eigenvalues as values lists them."""
+    n = len(values)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = u @ np.diag(np.asarray(values, dtype=float)) @ u.conj().T
+    return OperatorMatrix((m + m.conj().T) / 2)
+
+
+class TestConditionalReadout:
+    """Scheme 2 read from a q1-indexed table gives the tensor's <Q2>."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 4), seed=st.integers(0, 2**16), data=st.data())
+    def test_matches_the_full_tensor(self, dim, seed, data):
+        rank = data.draw(st.integers(1, dim))
+        system = random_state(dim, seed) if rank == 1 else random_density(dim, seed, rank)
+        spectrum = st.lists(st.sampled_from([-1.5, -0.5, 0.0, 0.0, 1.0, 2.0]),
+                            min_size=dim, max_size=dim)
+        f_op = degenerate_hermitian(data.draw(spectrum), seed + 1)
+        e_op = degenerate_hermitian(data.draw(spectrum), seed + 2)
+        sigma = data.draw(st.sampled_from([0.8, 1.0, 1.5]))
+        grid = PointerGrid(data.draw(st.sampled_from([64, 128, 256])),
+                           data.draw(st.sampled_from([12.0, 16.0, 20.0])) * sigma)
+        gt1 = data.draw(st.floats(0.01, 0.3))
+        gt2 = data.draw(st.floats(0.005, 0.1))
+        table = conditional_readout(system, f_op, e_op, gt1, gt2, grid, sigma)
+        tensor = tensor_conditional(system, f_op, e_op, gt1, gt2, grid, sigma)
+        assert_allclose(table, tensor, rtol=0, atol=1e-12)
+
+    def test_alternatives_read_as_the_loop_of_single_calls(self):
+        rho = random_density(3, 8, 2)
+        fs = [projector(random_state(3, 30 + j)) for j in range(3)] + [three_level_observable()]
+        es = [projector(fourier_ket(3, 1)), degenerate_hermitian([0.0, 1.0, 1.0], 4)]
+        q_k, q_q = conditional_readout(rho, fs, es, 0.05, 0.04, GRID, 1.0)
+        assert q_k.shape == q_q.shape == (4, 2)
+        for i, f_op in enumerate(fs):
+            for j, e_op in enumerate(es):
+                single = conditional_readout(rho, f_op, e_op, 0.05, 0.04, GRID, 1.0)
+                assert_allclose((q_k[i, j], q_q[i, j]), single, rtol=0, atol=1e-15)
+
+    def test_checks_name_the_alternative(self):
+        bad = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="^conditional coupling requires a Hermitian"
+                                             r" observable \(chain position 1, alternative 1\)$"):
+            conditional_readout(standard_ket(2, 0), PI0, [PI0, bad], 0.02, 0.02, GRID, 1.0)
+        with pytest.raises(ValueError, match="^coupling observable not Hermitian"):
+            conditional_readout(standard_ket(2, 0), bad, PI0, 0.02, 0.02, GRID, 1.0)
+        with pytest.raises(ValueError, match="^observable dimension does not match"):
+            conditional_readout(standard_ket(2, 0), PI0, projector(standard_ket(3, 0)),
+                                0.02, 0.02, GRID, 1.0)
+
+    # Each guard at its boundary: F's shift (limit L/4 = 4), F's kick on a
+    # 64-point grid (limit pi/(4 dq) = pi/2, below the shift limit), and the
+    # conditional reach gt2 max|lambda_E| L (limit L/4).
+    @pytest.mark.parametrize("grid, gt1, gt2, bumped", [
+        (PointerGrid(256, 16.0), 4.0, 0.01, 0),
+        (PointerGrid(64, 16.0), np.pi / 0.5 / 4, 0.01, 0),
+        (PointerGrid(256, 16.0), 0.05, 0.25, 1),
+    ], ids=["shift", "kick", "conditional"])
+    def test_wrap_guards_match_the_tensor(self, grid, gt1, gt2, bumped):
+        rho = random_density(2, 5, 2)
+        e_op = projector(fourier_ket(2, 1))
+        passing = conditional_readout(rho, PI0, e_op, gt1, gt2, grid, 1.0)
+        assert_allclose(passing, tensor_conditional(rho, PI0, e_op, gt1, gt2, grid, 1.0),
+                        rtol=0, atol=1e-12)
+        gts = [gt1, gt2]
+        gts[bumped] = np.nextafter(gts[bumped], np.inf)
+        with pytest.raises(WrapAroundError) as tensor:
+            tensor_conditional(rho, PI0, e_op, *gts, grid, 1.0)
+        with pytest.raises(WrapAroundError) as table:
+            conditional_readout(rho, PI0, e_op, *gts, grid, 1.0)
+        assert str(table.value) == str(tensor.value)
+
+
+class TestDisplacementTable:
+    """x(d) = <T_d phi|Q|T_d phi> against its continuum value d."""
+
+    @staticmethod
+    def error(grid):
+        shifts = np.linspace(-grid.half_width / 4, grid.half_width / 4, 201)
+        return np.max(np.abs(displacement_table(grid, 1.0, shifts) - shifts))
+
+    def test_default_grid_is_exact_to_rounding(self):
+        assert self.error(PointerGrid(256, 16.0)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", [PointerGrid(256, 8.0), PointerGrid(32, 16.0)],
+                             ids=["half_width-8", "points-32"])
+    def test_a_cut_grid_shows_its_error(self, grid):
+        # about 1.9e-8 (tails cut) and 1.4e-8 (momentum tails cut)
+        assert 1e-10 < self.error(grid) < 1e-6
+
+    def test_each_shift_reads_its_own_pointer(self):
+        shifts = np.array([[0.0, 0.5, -0.0], [0.5, 1.25, 0.0]])
+        table = displacement_table(GRID, 1.2, shifts)
+        assert table.shape == shifts.shape
+        for d, x in zip(shifts.ravel(), table.ravel()):
+            assert x == pytest.approx(displacement_table(GRID, 1.2, [d])[0], rel=0, abs=1e-15)
+        assert displacement_table(GRID, 1.2, np.zeros(0)).shape == (0,)
 
 
 class TestOutcomePointerDensities:

@@ -45,7 +45,6 @@ from weakmeas.protocols import (
     mixed_state_response,
     scheme1_weak_product,
     scheme2_weak_product,
-    tensor_pointers,
     weak_strong_product,
 )
 
@@ -509,13 +508,14 @@ def _alternatives(position):
 @pytest.mark.parametrize("protocol, scheme", sorted(ROUTE_POINTERS))
 def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol, scheme):
     """Every chain a route runs couples ROUTE_POINTERS pointers, all on the
-    grid of that count.  Scheme 2 holds them in JointStates of
-    tensor_pointers pointers; every other route reads them from eigenvalue
-    tables (chain_readout), one position per pointer, each position one
-    observable or the alternatives of a scanned setting, and builds no
-    JointState."""
-    states, chains = [], []  # (pointers, grids) per JointState built / chain read
-    init, readout = evolution.JointState.__init__, protocols.chain_readout
+    grid of that count, and no route builds a JointState.  Scheme 2 reads
+    its pair (F, E) with conditional_readout; every other route reads its
+    pointers from eigenvalue tables (chain_readout), one position per
+    pointer.  Each position is one observable or the alternatives of a
+    scanned setting."""
+    states, chains, pairs = [], [], []  # JointStates built / chains / Scheme 2 pairs read
+    init = evolution.JointState.__init__
+    readout, conditional = protocols.chain_readout, protocols.conditional_readout
 
     def record_state(self, branches, grids, *args):
         states.append((len(grids), set(grids)))
@@ -527,18 +527,24 @@ def test_route_table_counts_the_pointers_each_route_builds(monkeypatch, protocol
         chains.append((len(observables), {grid}))
         return readout(system, observables, gts, grid, *args)
 
+    def record_pair(system, f_op, e_op, gt1, gt2, grid, sigma):
+        for position in (f_op, e_op):
+            assert all(isinstance(op, OperatorMatrix) for op in _alternatives(position))
+        pairs.append((2, {grid}))
+        return conditional(system, f_op, e_op, gt1, gt2, grid, sigma)
+
     monkeypatch.setattr(evolution.JointState, "__init__", record_state)
     monkeypatch.setattr(protocols, "chain_readout", record_chain)
+    monkeypatch.setattr(protocols, "conditional_readout", record_pair)
     _call_route(protocol, scheme)
     pointers = ROUTE_POINTERS[protocol, scheme]
     grid = ProtocolParams().grid(pointers)
+    assert not states
     if scheme == "scheme2":
-        assert states and not chains
-        assert tensor_pointers(protocol, scheme) == pointers
+        assert pairs and not chains
     else:
-        assert chains and not states
-        assert tensor_pointers(protocol, scheme) == 0
-    for count, grids in states + chains:
+        assert chains and not pairs
+    for count, grids in chains + pairs:
         assert count == pointers
         assert grids == {grid}
 
@@ -563,3 +569,27 @@ def test_every_table_route_reads_its_settings_in_one_call(monkeypatch, protocol,
                ("dirac", "scheme1"): [dim, dim], ("density", "substitution"): [dim, 1],
                ("density", "scheme1"): [dim, 1, dim]}
     assert calls[0] == scanned.get((protocol, scheme), [1] * ROUTE_POINTERS[protocol, scheme])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_scheme2_dirac_reads_one_displacement_table(monkeypatch, dim):
+    """direct_dirac(scheme2) reads all N^2 settings from one q1-indexed
+    table over E's values {0, 1}, and builds no JointState."""
+    tables = []
+    table = evolution.displacement_table
+
+    def record(grid, sigma, shifts):
+        tables.append(np.shape(shifts))
+        return table(grid, sigma, shifts)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("direct_dirac built a JointState")
+
+    monkeypatch.setattr(evolution, "displacement_table", record)
+    monkeypatch.setattr(evolution.JointState, "__init__", refuse)
+    rho = random_density(dim, seed=4, rank=2)
+    params = ProtocolParams(gt=0.02, scheme="scheme2")
+    out = direct_dirac(rho, params)
+    assert tables == [(2, params.points(ROUTE_POINTERS["dirac", "scheme2"]))]
+    assert out.distribution.entries.shape == (dim, dim)
+    assert np.max(np.abs(out.distribution.entries - dirac_exact(rho).entries)) < 1e-4
