@@ -26,13 +26,16 @@ re-parse to the in-memory values exactly.  Every YAML file is the bytes of
 `yaml.dump(doc, Dumper=CSafeDumper, sort_keys=False)`; `yamlio.dump_yaml`
 writes them directly and calls `yaml.dump` only for a document outside its
 subset (see weakmeas.yamlio).  `report` fits convergence slopes
-and extrapolates the sweep to zero coupling; `calibrate` checks the Scheme 1
+and extrapolates the sweep to zero coupling, rebuilding each coupling's
+reconstruction from the estimate rows (reconstruction.yaml only marks that
+the run reconstructed); `calibrate` checks the Scheme 1
 readout constant; `oracle` writes closed-form values only.
 
 Exit codes: 0 success, 2 config or input errors (including a b0 the route
 or the oracle rejects, a scheme the protocol has no route for, non-finite,
 boolean or fractional numbers, repeated sweep couplings, `run --threads`
-below 1, and sizes past MAX_AMPLITUDES), 3 protocol
+below 1, estimate rows `report` cannot fit or rebuild, and sizes past
+MAX_AMPLITUDES), 3 protocol
 aborts (evolution.ProtocolAbort: post-selection failure, probability-sum
 drift, a vanished readout or reconstructed trace; and pointer wrap-around),
 1 anything unexpected, with its traceback.
@@ -73,6 +76,7 @@ from .protocols import (
     DEFAULT_SWEEP,
     ROUTE_POINTERS,
     SCHEMES,
+    SETTING_NAMES,
     ProtocolParams,
     _require_unbiased_b0,
     _require_uniform_b0,
@@ -85,6 +89,7 @@ from .protocols import (
     extrapolate_sweep,
     hermitize_normalize,
     invert_dirac,
+    normalize_weak_values,
     scheme1_weak_product,
     scheme2_weak_product,
     weak_strong_product,
@@ -452,8 +457,8 @@ def resolve_config(raw: dict, default_seed: int | None = None) -> Scenario:
         shots = _number(spec["shots"], int, "sampling.shots")
         if shots > MAX_AMPLITUDES:
             raise ConfigError(
-                f"sampling.shots: {shots} shots would keep {2 * shots} floats and"
-                f" {shots} int32 ranks, above the bytes of MAX_AMPLITUDES = 2^24 amplitudes"
+                f"sampling.shots: {shots} shots would keep {2 * shots} float draws, 16 bytes"
+                f" a shot as for an amplitude, above MAX_AMPLITUDES = 2^24"
             )
         try:
             sampling = ShotPlan(
@@ -723,15 +728,55 @@ def _read_rows(results_dir: Path) -> list[dict]:
     return rows
 
 
-def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
+def _coupling_estimates(manifest: dict, fits: list) -> tuple[list[float], np.ndarray]:
+    """The gts, largest first, and one array of estimates per gt, indexed by
+    the route's setting labels: the rows a route's reconstruction is built
+    from.  fits holds (gts, setting groups, values) per fitted group.
+    ConfigError naming a setting outside the route's labels, or when the
+    rows are not one per setting and coupling."""
+    protocol, dim = manifest["protocol"], manifest["dim"]
+    names = SETTING_NAMES[protocol]
+    shape = (dim,) * len(names)
+    flat_of = {
+        ",".join(f"{name}={label}" for name, label in zip(names, idx)): k
+        for k, idx in enumerate(np.ndindex(shape))
+    }
+    gts = sorted({gt for group_gts, _, _ in fits for gt in group_gts}, reverse=True)
+    position = {gt: i for i, gt in enumerate(gts)}
+    stack = np.zeros((len(gts), len(flat_of)), dtype=complex)
+    filled = np.zeros(stack.shape, dtype=bool)
+    rows = 0
+    for group_gts, members, values in fits:
+        columns = []
+        for group in members:
+            setting = group[0]["setting"]
+            if setting not in flat_of:
+                raise ConfigError(
+                    f"estimates: setting {setting!r} is not a {protocol} setting at dim {dim}")
+            columns.append(flat_of[setting])
+        cells = np.ix_([position[gt] for gt in group_gts], columns)
+        stack[cells] = values
+        filled[cells] = True
+        rows += values.size
+    if rows != stack.size or not filled.all():
+        raise ConfigError(
+            f"estimates: the reconstruction needs one row per setting and coupling,"
+            f" {len(flat_of)} settings x {len(gts)} couplings; got {rows} rows")
+    return gts, stack.reshape(len(gts), *shape)
+
+
+def _report_reconstruction(manifest: dict, fits: list) -> dict | None:
+    """Each coupling's reconstruction rebuilt from its estimate rows by the
+    route's own rule, extrapolated to zero coupling and scored against rho."""
     protocol = manifest["protocol"]
-    recons = sorted(recon_doc["reconstructions"], key=lambda r: r["gt"], reverse=True)
-    gts = [r["gt"] for r in recons]
+    if protocol not in SETTING_NAMES:
+        return None
+    gts, estimates = _coupling_estimates(manifest, fits)
     if len(gts) < 2:
         return None
     true_rho = _from_pairs(manifest["state_density"])
     if protocol == "density":
-        mats = [_from_pairs(r["matrix"]) for r in recons]
+        mats = [hermitize_normalize(manifest["dim"] * raw) for raw in estimates]
         extrap = hermitize_normalize(extrapolate_sweep(gts, mats))
         return {
             "kind": "density",
@@ -739,8 +784,7 @@ def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
             "trace_distance": float(trace_distance(extrap, true_rho)),
         }
     if protocol == "dirac":
-        mats = [_from_pairs(r["entries"]) for r in recons]
-        extrap_entries = extrapolate_sweep(gts, mats)
+        extrap_entries = extrapolate_sweep(gts, estimates)
         implied = hermitize_normalize(invert_dirac(extrap_entries))
         return {
             "kind": "dirac",
@@ -748,17 +792,15 @@ def _report_reconstruction(manifest: dict, recon_doc: dict) -> dict | None:
             "implied_matrix": _matrix_pairs(implied),
             "trace_distance": float(trace_distance(implied, true_rho)),
         }
-    if protocol == "wavefunction":
-        vecs = [_from_pairs(r["normalized"]) for r in recons]
-        extrap = extrapolate_sweep(gts, vecs)
-        extrap = extrap / np.linalg.norm(extrap)
-        outer = np.outer(extrap, extrap.conj())
-        return {
-            "kind": "wavefunction",
-            "extrapolated_normalized": _pairs(extrap),
-            "trace_distance": float(trace_distance(outer, true_rho)),
-        }
-    return None
+    vecs = [normalize_weak_values(raw) for raw in estimates]
+    extrap = extrapolate_sweep(gts, vecs)
+    extrap = extrap / np.linalg.norm(extrap)
+    outer = np.outer(extrap, extrap.conj())
+    return {
+        "kind": "wavefunction",
+        "extrapolated_normalized": _pairs(extrap),
+        "trace_distance": float(trace_distance(outer, true_rho)),
+    }
 
 
 def cmd_report(args) -> int:
@@ -782,10 +824,16 @@ def cmd_report(args) -> int:
         key = tuple((r["gt"], r["abs_error"] > 1e-14) for r in group)
         groups.setdefault(key, []).append(group)
     summary = {}
+    fits = []
     for key, members in groups.items():
         gts = [gt for gt, _ in key]
+        if len(gts) < 2:
+            raise ConfigError(
+                f"estimates: setting {members[0][0]['setting']!r} has one row;"
+                " report needs at least two sweep couplings")
         values = np.array([[complex(r["re"], r["im"]) for r in g] for g in members]).T
         errors = np.array([[r["abs_error"] for r in g] for g in members]).T
+        fits.append((gts, members, values))
         try:
             slopes = convergence_slope(gts, errors)
         except ValueError:
@@ -804,12 +852,11 @@ def cmd_report(args) -> int:
             }
     summary = [summary[setting] for setting in settings]
 
+    # reconstruction.yaml marks a run whose route reconstructs; the rows
+    # already hold every number of the reconstruction.
     recon_summary = None
-    recon_path = results_dir / "reconstruction.yaml"
-    if recon_path.exists():
-        recon_summary = _report_reconstruction(
-            manifest, load_yaml(recon_path.read_text())
-        )
+    if (results_dir / "reconstruction.yaml").exists():
+        recon_summary = _report_reconstruction(manifest, fits)
 
     out_dir = Path(args.out_dir) if args.out_dir else results_dir
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -84,11 +84,10 @@ POINTER_VARIABLES = ("Q", "K", "a")
 # blocks held under this bound (one setting at least), and
 # displacement_table its displaced pointers (one at least).  A
 # sampled run's plan keeps its shot record for the whole run: 2 x shots
-# sorted float draws and shots int32 ranks, 20 bytes a shot against 16 for
-# an amplitude, so shots is capped at the same number (int32 ranks need
-# shots < 2^31, which sampling.ShotPlan enforces).  2^24 amplitudes are
-# 256 MiB, and a route holds a few such arrays at once.  Larger values used
-# to allocate until the process was killed.
+# float draws, 16 bytes a shot as for an amplitude, so shots is capped at
+# the same number (sampling.ShotPlan itself accepts up to 2^31 - 1).
+# 2^24 amplitudes are 256 MiB, and a route holds a few such arrays at
+# once.  Larger values used to allocate until the process was killed.
 MAX_AMPLITUDES = 2**24
 
 

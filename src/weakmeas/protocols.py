@@ -78,6 +78,8 @@ from .pointer import PointerGrid
 DEFAULT_SWEEP = (0.08, 0.04, 0.02, 0.01)
 DEFAULT_GRID_POINTS = {1: 512, 2: 256, 3: 64}
 SCHEMES = ("substitution", "scheme1", "scheme2")
+# The labels of a route's settings, one per axis of its estimate array.
+SETTING_NAMES = {"wavefunction": ("a",), "dirac": ("a", "b"), "density": ("a1", "a2")}
 # Pointers each (protocol, scheme) route couples; its grid is
 # ProtocolParams.grid of that count, Scheme 2's two pointers included,
 # though it reads them from a q1-indexed table.  Density via scheme2 is
@@ -277,8 +279,7 @@ def direct_wavefunction(
     """Scan a, weakly measure pi_a, post-select b0, read the weak value.
 
     The returned weak values are proportional to the amplitudes of psi; the
-    normalized field divides out the norm and rotates the first amplitude
-    with magnitude above 1e-6 to the positive real axis, since the overall
+    normalized field is normalize_weak_values of them, since the overall
     constant is not physical.
     """
     params = params or ProtocolParams()
@@ -296,16 +297,22 @@ def direct_wavefunction(
         )
     raw = weak_value_from_moments((pq / probs).real, (pk / probs).real, gts[0], 1.0,
                                   params.sigma)
+    estimates = _estimates(raw, SETTING_NAMES["wavefunction"], "weak_strong", gts, probs)
+    return WavefunctionReadout(raw, normalize_weak_values(raw), probs, estimates)
+
+
+def normalize_weak_values(raw: np.ndarray) -> np.ndarray:
+    """The scan's weak values divided by their norm, rotated so that the
+    first one with magnitude above 1e-6 is positive real; ProtocolAbort when
+    the norm is below 1e-12."""
     norm = np.linalg.norm(raw)
     if norm < 1e-12:
         raise ProtocolAbort("weak-value readout vanished for every a")
     normalized = raw / norm
     for amp in normalized:
         if abs(amp) > 1e-6:
-            normalized = normalized * np.exp(-1j * np.angle(amp))
-            break
-    estimates = _estimates(raw, ("a",), "weak_strong", gts, probs)
-    return WavefunctionReadout(raw, normalized, probs, estimates)
+            return normalized * np.exp(-1j * np.angle(amp))
+    return normalized
 
 
 def mixed_state_response(rho, b0: StateVector) -> np.ndarray:
@@ -437,12 +444,12 @@ def direct_dirac(rho, params: ProtocolParams | None = None) -> DiracReadout:
                                       {0: "Q"}, {0: "K"})
         values = weak_value_from_moments(pq.real, pk.real, gts[0], 1.0, params.sigma)
         entries = np.where(probs >= 1e-12, values, 0.0)
-        estimates = _estimates(entries, ("a", "b"), "weak_strong", gts, probs)
+        estimates = _estimates(entries, SETTING_NAMES["dirac"], "weak_strong", gts, probs)
     else:
         gts = params.couplings(2)
         product = scheme1_weak_product if params.scheme == "scheme1" else scheme2_weak_product
         entries = product(system, _Projectors(f_basis), pi_a, params)
-        estimates = _estimates(entries, ("a", "b"), params.scheme, gts)
+        estimates = _estimates(entries, SETTING_NAMES["dirac"], params.scheme, gts)
     atol = 0.05 * max(1.0, (max(gts) / 0.02) ** 2)
     return DiracReadout(DiracDistribution(entries, atol=atol), estimates)
 
@@ -481,14 +488,14 @@ def direct_density(rho, b0: StateVector | None = None,
         probs, moments = chain_readout(system, [pi_a, e_op], gts, grid, params.sigma,
                                        s_basis, {0: "a", 1: "a"})
         raw = np.where(probs >= 1e-12, _kappa(gts, params.sigma) * moments, 0.0)
-        estimates = _estimates(raw, ("a1", "a2"), "weak_strong", gts, probs)
+        estimates = _estimates(raw, SETTING_NAMES["density"], "weak_strong", gts, probs)
     else:
         gts = params.couplings(3)
         grid = params.grid(ROUTE_POINTERS["density", "scheme1"])
         _, moments = chain_readout(system, [pi_a, e_op, pi_a], gts, grid, params.sigma,
                                    None, {0: "a", 1: "a", 2: "a"})
         raw = _kappa(gts, params.sigma) * moments[..., 0]
-        estimates = _estimates(raw, ("a1", "a2"), "scheme1", gts)
+        estimates = _estimates(raw, SETTING_NAMES["density"], "scheme1", gts)
     scaled = n * raw
     matrix = hermitize_normalize(scaled)
     diagnostics = {

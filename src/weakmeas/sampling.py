@@ -28,13 +28,14 @@ displaced pointer per eigenvalue (evolution.outcome_pointer_densities).
 
 One record serves every setting, coupling and outcome-value row of a plan.
 The draws depend on the plan alone, so the plan draws them once, on first
-use, and keeps them sorted (ShotPlan.record): per quadrature, the outcome
-draws in ascending order, and the readout draws in ascending order with the
-rank of each shot's outcome draw.  A call then finds each outcome's shots
-with one boundary search per outcome (the same labels as a per-shot search
-of the outcome CDF), reads their pointer values by inverse CDF on a sorted
-slice, and keeps per outcome and quadrature only the count, sum r and sum
-r^2.  Every row's mean and standard error follow from those sums, so row
+use, and keeps them ordered by outcome draw (ShotPlan.record): per
+quadrature, the outcome draws in ascending order and each shot's readout
+draw at the rank of its outcome draw.  A call then finds each outcome's
+shots with one boundary search per outcome (the same labels as a per-shot
+search of the outcome CDF), which leaves them one contiguous slice of
+readout draws; it sorts that slice alone, reads its pointer values by
+inverse CDF, and keeps per outcome and quadrature only the count, sum r and
+sum r^2.  Every row's mean and standard error follow from those sums, so row
 v of a (V, N) stack gives exactly the estimate of a single-row call with
 that row.
 """
@@ -52,36 +53,30 @@ from .evolution import outcome_pointer_densities
 from .hilbert import OperatorMatrix, StateVector
 from .protocols import ProtocolParams
 
-# Shot ranks are kept as int32.
+# The most shots a plan accepts.  Its record keeps two float draws a shot,
+# 16 bytes; the CLI caps shots far lower, at evolution.MAX_AMPLITUDES.
 MAX_SHOTS = 2**31 - 1
 # Held while a plan draws its record, so that concurrent first calls draw once.
 _RECORD_LOCK = threading.Lock()
 
 
 class QuadratureShots(NamedTuple):
-    """The shots that read one quadrature, ordered by their readout draws.
+    """The shots that read one quadrature, ordered by their outcome draws.
 
     outcome_sorted holds their outcome draws in ascending order, and
-    readout_sorted their readout draws in ascending order; outcome_rank[j]
-    is the index in outcome_sorted of the outcome draw of the shot whose
-    readout draw is readout_sorted[j].
+    readout_by_rank[i] the readout draw of the shot whose outcome draw is
+    outcome_sorted[i].
     """
 
     outcome_sorted: np.ndarray
-    readout_sorted: np.ndarray
-    outcome_rank: np.ndarray
+    readout_by_rank: np.ndarray
 
 
 def _quadrature_shots(rng: np.random.Generator, size: int) -> QuadratureShots:
     """The next size shots of the stream: 2 size draws, outcome then readout."""
     u = rng.random(2 * size)
     by_outcome = np.argsort(u[0::2])
-    outcome_sorted = u[0::2][by_outcome]
-    rank = np.empty(size, dtype=np.int32)
-    rank[by_outcome] = np.arange(size, dtype=np.int32)
-    del by_outcome  # before the second sort, to keep the build's peak memory down
-    by_readout = np.argsort(u[1::2])
-    shots = QuadratureShots(outcome_sorted, u[1::2][by_readout], rank[by_readout])
+    shots = QuadratureShots(u[0::2][by_outcome], u[1::2][by_outcome])
     for array in shots:
         array.flags.writeable = False
     return shots
@@ -189,25 +184,21 @@ def _outcome_sums(shots: QuadratureShots, outcome_cdf: np.ndarray, laws) -> _Out
 
     The shots of outcome c hold the outcome ranks [bounds[c], bounds[c+1]),
     which labels them exactly as searchsorted(outcome_cdf, u, side="right")
-    clamped to N - 1 does.  A stable sort by label then leaves each
-    outcome's readout draws as one ascending slice.
+    clamped to N - 1 does.  Their readout draws are that slice of
+    readout_by_rank, sorted before the inverse CDF reads them.
     """
     n_outcomes = outcome_cdf.size
-    size = shots.readout_sorted.size
     bounds = np.concatenate(
-        ([0], np.searchsorted(shots.outcome_sorted, outcome_cdf[:-1], side="left"), [size]))
+        ([0], np.searchsorted(shots.outcome_sorted, outcome_cdf[:-1], side="left"),
+         [shots.outcome_sorted.size]))
     counts = np.diff(bounds)
-    label_of_rank = np.repeat(
-        np.arange(n_outcomes, dtype=np.min_scalar_type(n_outcomes - 1)), counts)
-    grouped = shots.readout_sorted[
-        np.argsort(label_of_rank[shots.outcome_rank], kind="stable")]
     means = np.zeros(n_outcomes)
     squares = np.zeros(n_outcomes)
     for c, law in enumerate(laws):
         # the shots of a law-less outcome read 0: they count, with zero sums
         if law is None or counts[c] == 0:
             continue
-        readout = np.interp(grouped[bounds[c]:bounds[c + 1]], *law)
+        readout = np.interp(np.sort(shots.readout_by_rank[bounds[c]:bounds[c + 1]]), *law)
         total = readout.sum()
         means[c] = total / counts[c]
         squares[c] = max(readout @ readout - total * means[c], 0.0)
@@ -269,8 +260,8 @@ def sample_protocol(
             value=complex(re_mean, im_mean),
             stderr_re=re_err,
             stderr_im=im_err,
-            shots_position=q_shots.readout_sorted.size,
-            shots_momentum=k_shots.readout_sorted.size,
+            shots_position=q_shots.outcome_sorted.size,
+            shots_momentum=k_shots.outcome_sorted.size,
         )
 
     values = np.asarray(setting.outcome_values, dtype=float)

@@ -394,6 +394,111 @@ class TestReport:
         assert 0 < slopes < 256
 
 
+def parsed_reconstruction(manifest, recon_doc):
+    """report's reconstruction as it was built from the parsed
+    reconstruction.yaml, kept as the oracle of the rebuild from the rows."""
+    protocol = manifest["protocol"]
+    recons = sorted(recon_doc["reconstructions"], key=lambda r: r["gt"], reverse=True)
+    gts = [r["gt"] for r in recons]
+    true_rho = cli._from_pairs(manifest["state_density"])
+    if protocol == "density":
+        mats = [cli._from_pairs(r["matrix"]) for r in recons]
+        extrap = cli.hermitize_normalize(extrapolate_sweep(gts, mats))
+        return {
+            "kind": "density",
+            "extrapolated_matrix": cli._matrix_pairs(extrap),
+            "trace_distance": float(cli.trace_distance(extrap, true_rho)),
+        }
+    if protocol == "dirac":
+        extrap_entries = extrapolate_sweep(gts, [cli._from_pairs(r["entries"]) for r in recons])
+        implied = cli.hermitize_normalize(cli.invert_dirac(extrap_entries))
+        return {
+            "kind": "dirac",
+            "extrapolated_entries": cli._matrix_pairs(extrap_entries),
+            "implied_matrix": cli._matrix_pairs(implied),
+            "trace_distance": float(cli.trace_distance(implied, true_rho)),
+        }
+    extrap = extrapolate_sweep(gts, [cli._from_pairs(r["normalized"]) for r in recons])
+    extrap = extrap / np.linalg.norm(extrap)
+    return {
+        "kind": "wavefunction",
+        "extrapolated_normalized": cli._pairs(extrap),
+        "trace_distance": float(cli.trace_distance(np.outer(extrap, extrap.conj()), true_rho)),
+    }
+
+
+RECONSTRUCTED_RUNS = {
+    "wavefunction": {"dim": 3, "protocol": "wavefunction",
+                     "state": {"amps": [[0.5, 0.1], [0.3, -0.4], [0.2, 0.6]]}},
+    "wavefunction-basis": {"dim": 2, "protocol": "wavefunction",
+                           "state": {"preset": "basis-0"}},
+    "dirac": {"dim": 3, "protocol": "dirac", "state": {"random": {"seed": 2, "rank": 2}}},
+    "dirac-basis": {"dim": 3, "protocol": "dirac", "state": {"preset": "basis-0"}},
+    "dirac-sampled": {"dim": 3, "protocol": "dirac",
+                      "state": {"random": {"seed": 4, "rank": 2}},
+                      "sampling": {"shots": 600, "seed": 3, "readout_split": 0.3}},
+    "density": {"dim": 3, "protocol": "density", "state": {"random": {"seed": 5, "rank": 2}}},
+    "density-mixed": {"dim": 2, "protocol": "density", "state": {"preset": "mixed-qubit"}},
+    "density-scheme1": {"dim": 2, "protocol": "density", "scheme": "scheme1",
+                        "state": {"random": {"seed": 6, "rank": 2}}},
+}
+
+
+def run_sweep(tmp_path, doc, fmt="csv"):
+    cfg = write_config(tmp_path / "cfg.yaml", {"sweep": [0.08, 0.04, 0.02], **doc})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out), "--threads", "1", "--format", fmt]) == 0
+    return out
+
+
+class TestReportReconstruction:
+    @pytest.mark.parametrize("name", sorted(RECONSTRUCTED_RUNS))
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_rebuilt_from_the_rows_equals_the_parsed_file(self, tmp_path, name, fmt):
+        out = run_sweep(tmp_path, RECONSTRUCTED_RUNS[name], fmt)
+        assert main(["report", str(out)]) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        oracle = parsed_reconstruction(
+            manifest, yaml.safe_load((out / "reconstruction.yaml").read_text()))
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        # repr tells every float apart, signed zeros included
+        assert repr(report["reconstruction"]) == repr(oracle)
+
+    def test_an_edited_reconstruction_file_does_not_change_the_report(self, tmp_path):
+        out = run_sweep(tmp_path, RECONSTRUCTED_RUNS["density"])
+        assert main(["report", str(out)]) == 0
+        before = (out / "report.yaml").read_text()
+        (out / "reconstruction.yaml").write_text("protocol: density\nreconstructions: []\n")
+        assert main(["report", str(out)]) == 0
+        assert (out / "report.yaml").read_text() == before
+
+    @pytest.mark.parametrize("edit, message", [
+        ("one", "setting 'a=99,b=0' has one row"),
+        ("all", "setting 'a=99,b=0' is not a dirac setting at dim 3"),
+        ("drop", "one row per setting and coupling, 9 settings x 3 couplings; got 26 rows"),
+    ])
+    def test_rows_that_do_not_fill_the_settings_exit_2(self, tmp_path, capsys, edit, message):
+        out = run_sweep(tmp_path, RECONSTRUCTED_RUNS["dirac"])
+        rows = read_csv_rows(out / "estimates.csv")
+        if edit == "drop":
+            rows.pop(4)
+        else:
+            # rows[1] is a=0,b=1 at the first coupling
+            for row in rows[1:2] if edit == "one" else rows:
+                if row["setting"] == "a=0,b=1":
+                    row["setting"] = "a=99,b=0"
+        import csv
+
+        with (out / "estimates.csv").open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: estimates:") and message in err
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["run", "oracle"])
     def test_repeated_sweep_coupling_exits_2(self, tmp_path, capsys, command):

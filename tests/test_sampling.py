@@ -244,13 +244,62 @@ class TestPlanRecord:
         for shots, part in zip(plan.record(), (slice(0, 2 * n_pos), slice(2 * n_pos, None))):
             outcome, readout = u[part][0::2], u[part][1::2]
             np.testing.assert_array_equal(shots.outcome_sorted, np.sort(outcome))
-            np.testing.assert_array_equal(shots.readout_sorted, np.sort(readout))
-            assert shots.outcome_rank.dtype == np.int32
-            # each readout draw sits with the outcome draw of its own shot
-            pairs = dict(zip(readout, outcome))
+            # each readout draw sits at the rank of its own shot's outcome draw
+            readout_of = dict(zip(outcome, readout))
             np.testing.assert_array_equal(
-                shots.outcome_sorted[shots.outcome_rank],
-                [pairs[r] for r in shots.readout_sorted])
+                shots.readout_by_rank, [readout_of[o] for o in shots.outcome_sorted])
+            for array in shots:
+                assert not array.flags.writeable
+
+
+def per_shot_sums(plan, outcome_cdf, laws):
+    """_outcome_sums of each quadrature, from the plan's stream shot by shot:
+    each shot labelled by a clamped search of the outcome CDF, and each
+    outcome's readouts read in ascending order."""
+    u = np.random.Generator(np.random.Philox(key=plan.seed)).random(2 * plan.shots)
+    n_pos = plan.position_shots
+    out = []
+    for part in (u[:2 * n_pos], u[2 * n_pos:]):
+        labels = np.minimum(np.searchsorted(outcome_cdf, part[0::2], side="right"),
+                            outcome_cdf.size - 1)
+        counts = np.bincount(labels, minlength=outcome_cdf.size)
+        means = np.zeros(outcome_cdf.size)
+        squares = np.zeros(outcome_cdf.size)
+        for c, law in enumerate(laws):
+            if law is None or counts[c] == 0:
+                continue
+            readout = np.interp(np.sort(part[1::2][labels == c]), *law)
+            total = readout.sum()
+            means[c] = total / counts[c]
+            squares[c] = max(readout @ readout - total * means[c], 0.0)
+        out.append((counts, means, squares))
+    return out
+
+
+# One shot with readout_split 0.3 leaves a quadrature empty, which ShotPlan refuses.
+@pytest.mark.parametrize("shots, split", [
+    (shots, split) for shots in (1, 2, 101) for split in (0.0, 0.3, 1.0)
+    if (shots, split) != (1, 0.3)])
+def test_outcome_sums_equal_a_per_shot_reduction(shots, split):
+    """Bit for bit, with an outcome of zero probability (no law, no shots)
+    and probabilities that sum to 0.9, so the N - 1 clamp takes the rest."""
+    rng = np.random.default_rng(shots)
+    probs = np.array([0.35, 0.0, 0.25, 0.3])
+    outcome_cdf = np.cumsum(probs)
+    edges = np.linspace(-4.0, 4.0, 33)
+
+    def law(mass):
+        cdf = np.concatenate(([0.0], np.cumsum(mass)))
+        return cdf / cdf[-1], edges
+
+    laws = [None if p == 0 else law(rng.random(32)) for p in probs]
+    plan = ShotPlan(shots=shots, seed=shots + 9, readout_split=split)
+    for shots_of, (counts, means, squares) in zip(
+            plan.record(), per_shot_sums(plan, outcome_cdf, laws)):
+        got = sampling._outcome_sums(shots_of, outcome_cdf, laws)
+        assert got.counts.tolist() == counts.tolist()
+        assert got.means.tobytes() == means.tobytes()
+        assert got.squares.tobytes() == squares.tobytes()
 
 
 class TestSharedRecord:
